@@ -5,11 +5,11 @@
 // only what the rank-join's threshold forces it to. This bench runs the
 // same query mix through the lazy TopKProcessor and the eager
 // ExhaustiveProcessor (identical rewrite space, identical answers —
-// property-tested), reports p50/p95 latency per query, and writes
-// BENCH_P1.json so CI tracks the perf trajectory from this PR on.
+// property-tested), reports p50/p95 latency per query, and emits the
+// JSON that CI tracks as BENCH_P1.json.
 //
 //   ./build/bench/bench_p1_latency [--counters-only] [out.json]
-//                                  (default: BENCH_P1.json)
+//                                  (default: JSON to stdout)
 //
 // --counters-only omits the machine-local p50/p95 wall-times from the
 // JSON so cross-machine comparisons see only deterministic work
@@ -45,9 +45,8 @@ struct Side {
 
 int main(int argc, char** argv) {
   using namespace trinit;
-  bench::BenchArgs args = bench::ParseBenchArgs(argc, argv, "BENCH_P1.json");
+  bench::BenchArgs args = bench::ParseBenchArgs(argc, argv);
   const bool counters_only = args.counters_only;
-  const char* out_path = args.out_path;
   constexpr int kReps = 9;
   constexpr int kK = 5;
 
@@ -86,9 +85,9 @@ int main(int argc, char** argv) {
   size_t lazy_decoded = 0, eager_decoded = 0, lazy_skipped = 0;
   bool answers_match = true;
 
-  FILE* json = std::fopen(out_path, "w");
+  FILE* json = args.OpenJson();
   if (json == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", out_path);
+    std::fprintf(stderr, "cannot open %s\n", args.out_path);
     return 1;
   }
   std::fprintf(json,
@@ -180,14 +179,13 @@ int main(int argc, char** argv) {
                "\"answers_match\": %s}\n}\n",
                lazy_pulls, eager_pulls, lazy_decoded, eager_decoded,
                lazy_skipped, answers_match ? "true" : "false");
-  std::fclose(json);
+  args.CloseJson(json);
 
   std::printf("%s\n", table.ToString().c_str());
   std::printf("totals: lazy pulled %zu / decoded %zu (skipped %zu); "
               "eager pulled %zu / decoded %zu; answers %s\n",
               lazy_pulls, lazy_decoded, lazy_skipped, eager_pulls,
               eager_decoded, answers_match ? "identical" : "DIVERGED");
-  std::printf("wrote %s\n", out_path);
 
   if (!answers_match || lazy_pulls >= eager_pulls ||
       lazy_decoded >= eager_decoded) {

@@ -18,7 +18,7 @@
 // scale, the bench refuses to report numbers for diverging runs.
 //
 //   ./build/bench/bench_p2_join [--counters-only] [out.json]
-//                               (default: BENCH_P2.json)
+//                               (default: JSON to stdout)
 //
 // --counters-only omits the machine-local p50/p95 wall-times from the
 // JSON so cross-machine comparisons see only deterministic counters.
@@ -60,9 +60,8 @@ struct Side {
 
 int main(int argc, char** argv) {
   using namespace trinit;
-  bench::BenchArgs args = bench::ParseBenchArgs(argc, argv, "BENCH_P2.json");
+  bench::BenchArgs args = bench::ParseBenchArgs(argc, argv);
   const bool counters_only = args.counters_only;
-  const char* out_path = args.out_path;
   constexpr int kReps = 9;
   constexpr int kK = 5;
 
@@ -121,9 +120,9 @@ int main(int argc, char** argv) {
   size_t total_pulled[kNumConfigs] = {0, 0, 0};
   bool answers_match = true;
 
-  FILE* json = std::fopen(out_path, "w");
+  FILE* json = args.OpenJson();
   if (json == nullptr) {
-    std::fprintf(stderr, "cannot open %s\n", out_path);
+    std::fprintf(stderr, "cannot open %s\n", args.out_path);
     return 1;
   }
   std::fprintf(json,
@@ -224,7 +223,7 @@ int main(int argc, char** argv) {
                total_tried[0], total_tried[1], total_tried[2],
                total_pulled[0], total_pulled[2], planned_per_pull,
                seed_per_pull, answers_match ? "true" : "false");
-  std::fclose(json);
+  args.CloseJson(json);
 
   std::printf("%s\n", table.ToString().c_str());
   std::printf(
@@ -232,7 +231,6 @@ int main(int argc, char** argv) {
       "tried %zu (%.2f/pull); answers %s\n",
       total_tried[0], planned_per_pull, total_tried[1], total_tried[2],
       seed_per_pull, answers_match ? "identical" : "DIVERGED");
-  std::printf("wrote %s\n", out_path);
 
   if (!answers_match || planned_per_pull >= seed_per_pull) {
     std::fprintf(stderr,

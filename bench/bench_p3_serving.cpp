@@ -34,7 +34,7 @@
 // exactly the newest `capacity` records in order — gated here).
 //
 //   ./build/bench/bench_p3_serving [--counters-only] [out.json]
-//                                  (default: BENCH_P3.json)
+//                                  (default: JSON to stdout)
 //
 // --counters-only omits machine-local wall-times from the JSON so
 // cross-machine comparisons see only deterministic work counters.
@@ -71,7 +71,7 @@ struct PassCounters {
 
 int main(int argc, char** argv) {
   using namespace trinit;
-  bench::BenchArgs args = bench::ParseBenchArgs(argc, argv, "BENCH_P3.json");
+  bench::BenchArgs args = bench::ParseBenchArgs(argc, argv);
   constexpr int kPasses = 3;
   constexpr int kK = 5;
 
@@ -299,7 +299,7 @@ int main(int argc, char** argv) {
       sc.answer_entries, sc.answer_evictions, sc.plan_entries,
       planonly_rate, uncached_rate);
 
-  FILE* json = std::fopen(args.out_path, "w");
+  FILE* json = args.OpenJson();
   if (json == nullptr) {
     std::fprintf(stderr, "cannot open %s\n", args.out_path);
     return 1;
@@ -347,8 +347,7 @@ int main(int argc, char** argv) {
                warm_zero_pulls ? "true" : "false",
                answers_match ? "true" : "false", metrics_overhead_pct,
                kSlowLogCapacity, slowlog_capacity_ok ? "true" : "false");
-  std::fclose(json);
-  std::printf("wrote %s\n", args.out_path);
+  args.CloseJson(json);
 
   if (!answers_match) {
     std::fprintf(stderr, "P3 REGRESSION: cached answers diverged from "

@@ -23,7 +23,7 @@
 //     TSV rows parsed vs. snapshot index rebuilds).
 //
 //   ./build/bench/bench_p4_coldstart [--counters-only] [out.json]
-//                                    (default: BENCH_P4.json)
+//                                    (default: JSON to stdout)
 //
 // --counters-only omits machine-local wall-times from the JSON so
 // cross-machine comparisons see only deterministic work counters.
@@ -83,7 +83,7 @@ MixRun RunMix(const trinit::core::Trinit& engine,
 
 int main(int argc, char** argv) {
   using namespace trinit;
-  bench::BenchArgs args = bench::ParseBenchArgs(argc, argv, "BENCH_P4.json");
+  bench::BenchArgs args = bench::ParseBenchArgs(argc, argv);
   constexpr int kK = 5;
 
   std::printf("[P4] binary snapshot cold start: TSV rebuild vs verbatim "
@@ -198,7 +198,7 @@ int main(int argc, char** argv) {
   if (!storage::SnapshotWriter::Write(
            tsv_engine->xkg(), tsv_engine->rules(),
            tsv_engine->serving_cache().generation(), varint_path,
-           {storage::SectionCodec::kVarintDelta, storage::kSnapshotVersion})
+           {storage::SectionCodec::kVarintDelta})
            .ok()) {
     std::fprintf(stderr, "varint snapshot save failed\n");
     return 1;
@@ -322,7 +322,7 @@ int main(int argc, char** argv) {
               tsv_run.counters.combinations_tried,
               snap_run.counters.combinations_tried);
 
-  FILE* json = std::fopen(args.out_path, "w");
+  FILE* json = args.OpenJson();
   if (json == nullptr) {
     std::fprintf(stderr, "cannot open %s\n", args.out_path);
     return 1;
@@ -376,8 +376,7 @@ int main(int argc, char** argv) {
                work_saved ? "true" : "false", codec_2x ? "true" : "false",
                mmap_touch_10pct ? "true" : "false",
                matrix_match ? "true" : "false");
-  std::fclose(json);
-  std::printf("wrote %s\n", args.out_path);
+  args.CloseJson(json);
 
   if (!answers_match) {
     std::fprintf(stderr, "P4 REGRESSION: snapshot-loaded answers diverged "

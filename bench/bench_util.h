@@ -52,15 +52,29 @@ inline double Percentile(std::vector<double> samples, double pct) {
 /// The shared CLI surface of the JSON-writing benches:
 /// `[--counters-only] [out.json]`. `--counters-only` strips the
 /// machine-local p50/p95 wall-times from the JSON so cross-machine
-/// comparisons see only deterministic work counters.
+/// comparisons see only deterministic work counters. The JSON goes to
+/// `out.json` only when a path is given, and to stdout otherwise, so a
+/// bench run from the repo root never overwrites a committed baseline.
 struct BenchArgs {
   bool counters_only = false;
-  const char* out_path;
+  const char* out_path = nullptr;  ///< null: JSON goes to stdout
+
+  /// The JSON sink: the named file, or stdout. Null when the file
+  /// cannot be opened.
+  FILE* OpenJson() const {
+    return out_path == nullptr ? stdout : std::fopen(out_path, "w");
+  }
+  void CloseJson(FILE* json) const {
+    if (json == stdout) {
+      std::fflush(json);
+      return;
+    }
+    std::fclose(json);
+    std::printf("wrote %s\n", out_path);
+  }
 };
-inline BenchArgs ParseBenchArgs(int argc, char** argv,
-                                const char* default_out) {
+inline BenchArgs ParseBenchArgs(int argc, char** argv) {
   BenchArgs args;
-  args.out_path = default_out;
   for (int i = 1; i < argc; ++i) {
     if (std::string(argv[i]) == "--counters-only") {
       args.counters_only = true;

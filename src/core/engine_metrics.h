@@ -46,13 +46,9 @@ struct EngineMetrics {
   obs::Counter partition_probes;
   obs::Histogram pulls_per_request;  ///< early-termination depth
 
-  // ----------------------------------------------------- rdf/sharded
+  // ------------------------------------------------------------- rdf
   obs::Counter shape_builds;      ///< first-touch score-shape sorts
   obs::Histogram shape_sort_ms;   ///< ... their latency
-  obs::Counter scatter_requests;  ///< requests scattered across shards
-  /// Hottest shard's fraction of a scattered request's pulls
-  /// (1/shards = perfectly balanced, 1.0 = one shard did everything).
-  obs::Histogram shard_hottest_share;
 
   // --------------------------------------------------------- storage
   obs::Histogram open_ms;         ///< snapshot open latency

@@ -215,9 +215,7 @@ Result<const query::Query*> ResolveRequestQuery(
 /// Flattens a run's `RunStats` into name/value pairs. Shared by every
 /// `Engine` implementation (and the span builder) so traced output
 /// exposes a uniform counter vocabulary: every key is emitted for
-/// every run — including `shards` (1 when unsharded) and
-/// `shard_pulls_max` (total pulls when unsharded) — so traced output
-/// keys are identical at any shard count.
+/// every run.
 void AppendRunStatsCounters(
     const topk::TopKResult::RunStats& stats,
     std::vector<std::pair<std::string, double>>* counters);

@@ -38,14 +38,6 @@ ScoreOrderIndex ScoreOrderIndex::Build(std::span<const Triple> triples) {
   return index;
 }
 
-ScoreOrderIndex ScoreOrderIndex::BuildSubset(std::span<const Triple> triples,
-                                             std::span<const TripleId> members) {
-  ScoreOrderIndex index = Build(triples);
-  index.members_ = members;
-  index.subset_ = true;
-  return index;
-}
-
 ScoreOrderIndex::Shape ScoreOrderIndex::ShapeFor(bool bs, bool bp, bool bo) {
   TRINIT_CHECK(!(bs && bp && bo));
   if (bs) return bp ? kSP : (bo ? kSO : kS);
@@ -58,7 +50,7 @@ ScoreOrderIndex::ShapeIndex& ScoreOrderIndex::Shaped(
   ShapeIndex& shaped = (*shapes_)[shape];
   std::call_once(shaped.once, [this, &triples, shape, &shaped]() {
     WallTimer sort_timer;
-    const size_t n = subset_ ? members_.size() : triples.size();
+    const size_t n = triples.size();
     // Decorate once instead of re-deriving keys and weights in every
     // comparison: the sort dominates the build.
     struct Record {
@@ -68,7 +60,7 @@ ScoreOrderIndex::ShapeIndex& ScoreOrderIndex::Shaped(
     };
     std::vector<Record> records(n);
     for (size_t i = 0; i < n; ++i) {
-      const TripleId id = subset_ ? members_[i] : static_cast<TripleId>(i);
+      const TripleId id = static_cast<TripleId>(i);
       records[i] = {KeyFor(shape, triples[id]), WeightOf(triples[id]), id};
     }
     std::sort(records.begin(), records.end(),
@@ -91,14 +83,6 @@ ScoreOrderIndex::ShapeIndex& ScoreOrderIndex::Shaped(
     sort_ms_.Observe(sort_timer.ElapsedMillis());
   });
   return shaped;
-}
-
-bool ScoreOrderIndex::ShapeBuiltFor(TermId s, TermId p, TermId o) const {
-  if (shapes_ == nullptr) return false;
-  const bool bs = s != kNullTerm, bp = p != kNullTerm, bo = o != kNullTerm;
-  if (bs && bp && bo) return true;  // exact lookups bypass the shapes
-  return (*shapes_)[ShapeFor(bs, bp, bo)].built.load(
-      std::memory_order_acquire);
 }
 
 size_t ScoreOrderIndex::built_shapes() const {
@@ -145,47 +129,31 @@ Status ScoreOrderIndex::RestoreShape(ShapeSnapshot snapshot,
                                    std::to_string(snapshot.shape));
   }
   const Shape shape = static_cast<Shape>(snapshot.shape);
-  const size_t expected = subset_ ? members_.size() : num_triples;
-  if (snapshot.ids.size() != expected ||
-      snapshot.prefix_mass.size() != expected + 1 ||
+  if (snapshot.ids.size() != num_triples ||
+      snapshot.prefix_mass.size() != num_triples + 1 ||
       snapshot.prefix_mass.front() != 0) {
     return Status::InvalidArgument("score shape size mismatch for shape " +
                                    std::to_string(snapshot.shape));
   }
   // Re-verify, in O(n), everything Range()/Lookup() rely on: the ids
-  // must be a permutation of the covered ids (the whole store, or this
-  // subset's members — a duplicate silently drops a triple), in
-  // exactly the build order — key blocks ascending, weight descending
-  // within a block, id tiebreak — or the binary searches and the
-  // emit-best-first contract break; and each prefix mass must equal the
-  // running count sum, or unsigned mass subtraction wraps. Corruption
+  // must be a permutation of the triple ids (a duplicate silently drops
+  // a triple), in exactly the build order — key blocks ascending,
+  // weight descending within a block, id tiebreak — or the binary
+  // searches and the emit-best-first contract break; and each prefix
+  // mass must equal the running count sum, or unsigned mass subtraction
+  // wraps. Corruption
   // must yield a typed error, never wrong answers. The trusted mmap
   // mode skips this walk by explicit caller opt-in (the O(1) size
   // checks above still ran).
   if (validation == SnapshotValidation::kFull) {
-    std::vector<bool> seen(expected, false);
-    for (size_t i = 0; i < expected; ++i) {
+    std::vector<bool> seen(num_triples, false);
+    for (size_t i = 0; i < num_triples; ++i) {
       const TripleId id = snapshot.ids[i];
-      size_t slot;
-      if (subset_) {
-        auto it = std::lower_bound(members_.begin(), members_.end(), id);
-        if (it == members_.end() || *it != id) {
-          return Status::InvalidArgument(
-              "score shape id is not a member of the subset");
-        }
-        slot = static_cast<size_t>(it - members_.begin());
-      } else {
-        if (id >= num_triples) {
-          return Status::InvalidArgument(
-              "score shape ids are not a permutation of the triple ids");
-        }
-        slot = id;
-      }
-      if (seen[slot]) {
+      if (id >= num_triples || seen[id]) {
         return Status::InvalidArgument(
-            "score shape ids are not a permutation of the covered ids");
+            "score shape ids are not a permutation of the triple ids");
       }
-      seen[slot] = true;
+      seen[id] = true;
       if (i > 0) {
         const TripleId prev = snapshot.ids[i - 1];
         const Key pk = KeyFor(shape, triples[prev]);

@@ -336,10 +336,6 @@ std::vector<Answer> JoinEngine::Run() {
     BindingStream::Item item = *streams_[best_idx]->Peek();
     streams_[best_idx]->Pop();
     ++stats_.items_pulled;
-    if (item.shard >= stats_.per_shard_pulled.size()) {
-      stats_.per_shard_pulled.resize(item.shard + 1, 0);
-    }
-    ++stats_.per_shard_pulled[item.shard];
     top1_[best_idx] = std::max(top1_[best_idx], item.log_score);
     Insert(best_idx, std::move(item));
     Combine(best_idx, seen_[best_idx].items.back());

@@ -98,11 +98,6 @@ class JoinEngine {
     /// Items pulled per stream (execution order), the join's actual
     /// per-pattern cardinalities for plan-vs-reality reporting.
     std::vector<size_t> per_stream_pulled;
-    /// Items pulled per owning XKG shard — the scatter-gather balance
-    /// measure (max element / items_pulled is the hottest shard's
-    /// share). At most one element (shard 0) when the engine serves
-    /// unsharded, so traces can gate on size() > 1.
-    std::vector<size_t> per_shard_pulled;
     bool early_terminated = false;  ///< stopped via threshold, not
                                     ///< exhaustion
     bool deadline_hit = false;  ///< stopped because `deadline` expired

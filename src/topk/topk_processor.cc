@@ -155,13 +155,6 @@ void TopKProcessor::EvaluateVariant(
   result->stats.partition_probes += engine.stats().partition_probes;
   result->stats.partition_fallbacks += engine.stats().partition_fallbacks;
   result->stats.deadline_hit |= engine.stats().deadline_hit;
-  const std::vector<size_t>& shard_pulled = engine.stats().per_shard_pulled;
-  if (result->stats.per_shard_pulled.size() < shard_pulled.size()) {
-    result->stats.per_shard_pulled.resize(shard_pulled.size(), 0);
-  }
-  for (size_t i = 0; i < shard_pulled.size(); ++i) {
-    result->stats.per_shard_pulled[i] += shard_pulled[i];
-  }
   if (jplan != nullptr && result->plan.empty()) {
     // First evaluated variant: record the chosen order with estimated
     // vs. actual per-pattern cardinalities for the trace.

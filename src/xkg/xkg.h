@@ -10,7 +10,6 @@
 
 #include "rdf/dictionary.h"
 #include "rdf/graph_stats.h"
-#include "rdf/sharded_store.h"
 #include "rdf/triple_store.h"
 #include "text/phrase_index.h"
 
@@ -84,36 +83,12 @@ class Xkg {
   const rdf::GraphStats& stats() const { return *stats_; }
   const text::PhraseIndex& phrase_index() const { return *phrase_index_; }
 
-  /// The hash-partitioned serving decomposition, or nullptr when the
-  /// engine serves unsharded (shard_count <= 1) — the single branch the
-  /// query layer takes. When set, `stats()` is the merge of the
-  /// per-shard stats (bit-identical to the unsharded compute).
-  const rdf::ShardedStore* sharded() const { return sharded_.get(); }
-
-  /// Partitions the store into `shard_count` shards and swaps the
-  /// planner-visible stats for the per-shard merge (`<= 1` removes any
-  /// existing decomposition instead). Call before serving begins — this
-  /// mutates state the `const` query paths read, so the engine invokes
-  /// it only under its exclusive state lock (construction, ExtendKg
-  /// rebuild).
-  void InstallSharding(size_t shard_count);
-
-  /// Installs a snapshot-restored decomposition (the storage load path).
-  /// Unlike `InstallSharding` this keeps the persisted global stats the
-  /// snapshot already carries — the writer saved the merge, so
-  /// re-merging would only redo work.
-  void AdoptSharding(rdf::ShardedStore sharded) {
-    sharded_ = std::make_unique<rdf::ShardedStore>(std::move(sharded));
-  }
-
   /// Forwards first-touch score-shape sort instrumentation to the
-  /// global store and (when sharded) every shard index. Mutates state
-  /// the `const` query paths read — like `InstallSharding`, call only
-  /// under the engine's exclusive context (construction, ExtendKg
-  /// rebuild, after any re-sharding).
+  /// store's score index. Mutates state the `const` query paths read —
+  /// call only under the engine's exclusive context (construction,
+  /// ExtendKg rebuild).
   void BindScoreMetrics(obs::Histogram sort_ms, obs::Counter builds) {
     store_.BindScoreMetrics(sort_ms, builds);
-    if (sharded_ != nullptr) sharded_->BindScoreMetrics(sort_ms, builds);
   }
 
   /// True iff the triple has curated-KG provenance.
@@ -159,7 +134,6 @@ class Xkg {
   std::unique_ptr<rdf::Dictionary> dict_;
   rdf::TripleStore store_;
   std::unique_ptr<rdf::GraphStats> stats_;
-  std::unique_ptr<rdf::ShardedStore> sharded_;  // null = unsharded
   std::unique_ptr<text::PhraseIndex> phrase_index_;
   ProvenanceMap provenance_;
   std::unique_ptr<LazyProvenance> lazy_provenance_;  // null = eager

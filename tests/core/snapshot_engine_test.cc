@@ -184,7 +184,7 @@ TEST(SnapshotEngineTest, PropertySnapshotEqualsTsvBuiltAcrossWorlds) {
       ASSERT_TRUE(storage::SnapshotWriter::Write(
                       tsv_engine->xkg(), tsv_engine->rules(),
                       tsv_engine->serving_cache().generation(), snap,
-                      {combo.codec, storage::kSnapshotVersion})
+                      {combo.codec})
                       .ok());
       TrinitOptions options;
       options.snapshot_read = {combo.mode, combo.verify};
@@ -248,6 +248,30 @@ TEST(SnapshotEngineTest, MutationsKeepWorkingAfterLoad) {
   auto after = loaded->Query("?x bornIn Ulm", 5);
   ASSERT_TRUE(after.ok());
   EXPECT_GT(after->answers.size(), before->answers.size());
+}
+
+TEST(SnapshotEngineTest, PrefetchHintsReportMappedBytes) {
+  auto source = Trinit::Open(testing::BuildPaperXkg());
+  ASSERT_TRUE(source.ok());
+  ASSERT_TRUE(source->AddManualRules(testing::kPaperRulesText).ok());
+  (void)RunOnce(*source, "?x bornIn Germany");
+  const std::string path = TempPath("engine_prefetch.trinit");
+  ASSERT_TRUE(source->Save(path).ok());
+
+  TrinitOptions options;
+  options.snapshot_read.mode = storage::LoadMode::kMapped;
+  options.snapshot_read.prefetch = true;
+  storage::LoadReport report;
+  auto mapped = Trinit::Open(path, options, &report);
+  ASSERT_TRUE(mapped.ok()) << mapped.status();
+  EXPECT_GT(report.bytes_prefetched, 0u);
+
+  // The copy path never issues hints, prefetch requested or not.
+  options.snapshot_read.mode = storage::LoadMode::kCopy;
+  storage::LoadReport copy_report;
+  auto copied = Trinit::Open(path, options, &copy_report);
+  ASSERT_TRUE(copied.ok()) << copied.status();
+  EXPECT_EQ(copy_report.bytes_prefetched, 0u);
 }
 
 TEST(SnapshotEngineTest, OpenPathErrorsAreTyped) {
