@@ -21,6 +21,9 @@
 //   * TSV cold-start work >= 5x snapshot cold-start work, measured in
 //     deterministic rebuild counters (index rows sorted + rules mined +
 //     TSV rows parsed vs. snapshot index rebuilds).
+//   * every load mode (copy, mmap, mmap-trusted) answers the mix
+//     byte-identically with identical work counters, and a trusted mmap
+//     open touches under 10% of the file's bytes.
 //
 //   ./build/bench/bench_p4_coldstart [--counters-only] [out.json]
 //                                    (default: JSON to stdout)
@@ -183,30 +186,13 @@ int main(int argc, char** argv) {
       snap_engine->xkg().store().score_shapes_built();
   const size_t snap_work = report.index_rebuilds;  // nothing re-sorted
 
-  // --------------------------------------- load-mode x codec matrix
-  // One varint-coded snapshot of the same engine, then every load
-  // mode / verification / codec combination replays the mix. Gates:
-  // the codec must at least halve the file, a trusted mmap open must
-  // touch under 10% of the file's bytes before the first query, and
-  // every combination must answer byte-identically with identical
-  // work counters.
-  const std::string varint_path = scratch + ".varint.trinit";
-  struct VarintGuard {
-    const std::string& path;
-    ~VarintGuard() { std::remove(path.c_str()); }
-  } varint_guard{varint_path};
-  if (!storage::SnapshotWriter::Write(
-           tsv_engine->xkg(), tsv_engine->rules(),
-           tsv_engine->serving_cache().generation(), varint_path,
-           {storage::SectionCodec::kVarintDelta})
-           .ok()) {
-    std::fprintf(stderr, "varint snapshot save failed\n");
-    return 1;
-  }
-
+  // ------------------------------------------------ load-mode matrix
+  // Every load mode / verification combination replays the mix. Gates:
+  // a trusted mmap open must touch under 10% of the file's bytes
+  // before the first query, and every combination must answer
+  // byte-identically with identical work counters.
   struct Combo {
     const char* label;
-    const std::string& path;
     storage::ReadOptions options;
   };
   const storage::ReadOptions copy_full{storage::LoadMode::kCopy,
@@ -216,22 +202,19 @@ int main(int argc, char** argv) {
   const storage::ReadOptions mmap_trusted{storage::LoadMode::kMapped,
                                           rdf::SnapshotValidation::kTrusted};
   const Combo combos[] = {
-      {"raw/mmap", snap_path, mmap_full},
-      {"raw/mmap-trusted", snap_path, mmap_trusted},
-      {"varint/copy", varint_path, copy_full},
-      {"varint/mmap", varint_path, mmap_full},
-      {"varint/mmap-trusted", varint_path, mmap_trusted},
+      {"copy", copy_full},
+      {"mmap", mmap_full},
+      {"mmap-trusted", mmap_trusted},
   };
   bool matrix_match = true;
-  size_t varint_bytes = 0;
-  storage::LoadReport trusted_report;  // raw/mmap-trusted open
+  storage::LoadReport trusted_report;  // mmap-trusted open
   double trusted_ms = 0.0;
   for (const Combo& combo : combos) {
     core::TrinitOptions options;
     options.snapshot_read = combo.options;
     WallTimer combo_timer;
     storage::LoadReport combo_report;
-    auto combo_engine = core::Trinit::Open(combo.path, options,
+    auto combo_engine = core::Trinit::Open(snap_path, options,
                                            &combo_report);
     const double combo_ms = combo_timer.ElapsedMillis();
     if (!combo_engine.ok()) {
@@ -264,14 +247,12 @@ int main(int argc, char** argv) {
                 combo_report.provenance_deferred
                     ? ", provenance deferred"
                     : "");
-    if (combo.path == varint_path) varint_bytes = combo_report.bytes;
-    if (&combo == &combos[1]) {
+    if (combo.options.verify == rdf::SnapshotValidation::kTrusted) {
       trusted_report = combo_report;
       trusted_ms = combo_ms;
     }
   }
   const bool mmap_supported = storage::MappedFile::Supported();
-  const bool codec_2x = report.bytes >= 2 * varint_bytes;
   // bytes_touched is meaningful only when the trusted open actually
   // mapped (platforms without mmap fall back to the fully-read path).
   const bool mmap_touch_10pct =
@@ -302,14 +283,9 @@ int main(int argc, char** argv) {
               tsv_work, tsv_index_rows_sorted, tsv_rules_mined,
               tsv_rows_parsed, snap_work, shapes_at_save,
               snap_shapes_at_load);
-  std::printf("codec: raw %zu B, varint+delta %zu B (%.2fx smaller); "
-              "trusted mmap open %.2f ms touched %.1f%% of file\n",
-              report.bytes, varint_bytes,
-              varint_bytes > 0
-                  ? static_cast<double>(report.bytes) /
-                        static_cast<double>(varint_bytes)
-                  : 0.0,
-              trusted_ms,
+  std::printf("snapshot: %zu B; trusted mmap open %.2f ms touched %.1f%% "
+              "of file\n",
+              report.bytes, trusted_ms,
               trusted_report.bytes > 0
                   ? 100.0 * static_cast<double>(trusted_report.bytes_touched) /
                         static_cast<double>(trusted_report.bytes)
@@ -359,21 +335,21 @@ int main(int argc, char** argv) {
                "  ],\n  \"totals\": {\"tsv_index_rows_sorted\": %zu, "
                "\"tsv_rules_mined\": %zu, \"snapshot_index_rebuilds\": "
                "%zu, \"shapes_at_save\": %zu, \"shapes_restored\": %zu, "
-               "\"snapshot_bytes\": %zu, \"snapshot_bytes_varint\": %zu, "
+               "\"snapshot_bytes\": %zu, "
                "\"mmap_supported\": %s, \"mmap_bytes_touched\": %zu, "
                "\"mmap_resident_bytes\": %zu, \"answers_match\": %s, "
                "\"counters_match\": %s, \"no_rebuild\": %s, "
-               "\"work_saved_5x\": %s, \"codec_2x\": %s, "
+               "\"work_saved_5x\": %s, "
                "\"mmap_touch_10pct\": %s, \"matrix_match\": %s}\n}\n",
                tsv_index_rows_sorted, tsv_rules_mined,
                report.index_rebuilds, shapes_at_save, snap_shapes_at_load,
-               report.bytes, varint_bytes,
+               report.bytes,
                mmap_supported ? "true" : "false",
                trusted_report.bytes_touched, trusted_report.resident_bytes,
                answers_match ? "true" : "false",
                counters_match ? "true" : "false",
                no_rebuild ? "true" : "false",
-               work_saved ? "true" : "false", codec_2x ? "true" : "false",
+               work_saved ? "true" : "false",
                mmap_touch_10pct ? "true" : "false",
                matrix_match ? "true" : "false");
   args.CloseJson(json);
@@ -400,12 +376,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "P4 REGRESSION: TSV rebuild work %zu is not "
                          ">= 5x snapshot work %zu\n",
                  tsv_work, snap_work);
-    return 1;
-  }
-  if (!codec_2x) {
-    std::fprintf(stderr, "P4 REGRESSION: varint+delta snapshot (%zu B) "
-                         "is not >= 2x smaller than raw (%zu B)\n",
-                 varint_bytes, report.bytes);
     return 1;
   }
   if (!mmap_touch_10pct) {

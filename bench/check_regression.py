@@ -49,15 +49,14 @@ def counters(node, path=""):
 
 
 def check_invariants(fresh_path):
-    """Absolute gates on the fresh P4 snapshot-size/IO fields.
+    """Absolute gates on the fresh P4 snapshot-IO fields.
 
-    The counter diff above is relative (fresh vs baseline); these two
-    properties are absolute claims the storage layer makes and must
-    hold in every fresh run: the varint+delta codec shrinks the
-    snapshot at least 2x vs raw, and a trusted mmap open touches under
-    10% of the file's bytes before the first query. Old baselines (and
-    benches other than P4) simply lack the fields — that is not a
-    failure, the gate only tightens once the fields exist.
+    The counter diff above is relative (fresh vs baseline); this
+    property is an absolute claim the storage layer makes and must hold
+    in every fresh run: a trusted mmap open touches under 10% of the
+    file's bytes before the first query. Old baselines (and benches
+    other than P4) simply lack the fields — that is not a failure, the
+    gate only tightens once the fields exist.
     """
     with open(fresh_path) as f:
         totals = json.load(f).get("totals", {})
@@ -66,12 +65,6 @@ def check_invariants(fresh_path):
     name = fresh_path.split("/")[-1]
     ok = True
     raw = totals.get("snapshot_bytes")
-    varint = totals.get("snapshot_bytes_varint")
-    if isinstance(raw, int) and isinstance(varint, int) and varint > 0:
-        if raw < 2 * varint:
-            print(f"[bench-gate] {name}: FAIL — varint snapshot "
-                  f"({varint} B) is not >= 2x smaller than raw ({raw} B)")
-            ok = False
     touched = totals.get("mmap_bytes_touched")
     if (isinstance(raw, int) and isinstance(touched, int) and
             totals.get("mmap_supported") is True):

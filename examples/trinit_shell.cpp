@@ -135,7 +135,7 @@ int main(int argc, char** argv) {
                   ".explain <rank> | .complete <prefix> | .k <n> | "
                   ".timeout <ms> | .stats | .cache | .metrics [prom|json] | "
                   ".slowlog | .save <path> | "
-                  ".load <path> [mmap|copy] [trusted] [prefetch] | .quit\n");
+                  ".load <path> [mmap|copy] [trusted] | .quit\n");
       continue;
     }
     if (input == ".stats") {
@@ -221,9 +221,8 @@ int main(int argc, char** argv) {
       continue;
     }
     if (input.rfind(".load ", 0) == 0) {
-      // `.load <path> [mmap|copy] [trusted] [prefetch]` — trailing
-      // keywords pick the snapshot load mode, verification level, and
-      // readahead hinting.
+      // `.load <path> [mmap|copy] [trusted]` — trailing keywords pick
+      // the snapshot load mode and verification level.
       std::string_view rest = trinit::Trim(input.substr(6));
       trinit::core::TrinitOptions options;
       std::string path;
@@ -244,12 +243,9 @@ int main(int argc, char** argv) {
           } else if (flag == "trusted") {
             options.snapshot_read.verify =
                 trinit::rdf::SnapshotValidation::kTrusted;
-          } else if (flag == "prefetch") {
-            options.snapshot_read.prefetch = true;
           } else {
-            std::printf(
-                "  unknown .load flag '%s' (want mmap|copy|trusted|prefetch)\n",
-                std::string(flag).c_str());
+            std::printf("  unknown .load flag '%s' (want mmap|copy|trusted)\n",
+                        std::string(flag).c_str());
             bad_flag = true;
             break;
           }
@@ -269,20 +265,18 @@ int main(int argc, char** argv) {
                   "%zu score shapes pre-built, %zu index rebuilds\n",
                   report.terms, report.triples, report.rules,
                   report.score_shapes_restored, report.index_rebuilds);
-      std::printf("  load mode: %s%s, sections %zu mapped / %zu decoded, "
-                  "codecs %zu raw / %zu varint\n",
+      std::printf("  load mode: %s%s, sections %zu mapped / %zu decoded\n",
                   report.mapped ? "mmap" : "copy",
                   report.provenance_deferred ? " (provenance deferred)" : "",
-                  report.sections_mapped, report.sections_decoded,
-                  report.sections_raw, report.sections_varint);
+                  report.sections_mapped, report.sections_decoded);
       std::printf("  bytes: %zu file, %zu touched at open (%.1f%%), "
-                  "~%zu resident, %zu prefetch-hinted\n",
+                  "~%zu resident\n",
                   report.bytes, report.bytes_touched,
                   report.bytes == 0
                       ? 0.0
                       : 100.0 * static_cast<double>(report.bytes_touched) /
                             static_cast<double>(report.bytes),
-                  report.resident_bytes, report.bytes_prefetched);
+                  report.resident_bytes);
       PrintStats(*engine);
       continue;
     }
@@ -339,18 +333,10 @@ int main(int argc, char** argv) {
                 response->serving.answer_hit ? "; ANSWER CACHE HIT" : "",
                 response->deadline_hit ? "; TIMEOUT — partial answers"
                                        : "");
-    // Laziness trace: how much of the score-ordered index lists the run
-    // actually decoded vs left untouched.
-    std::printf("  trace:");
-    for (const auto& counter : response->counters) {
-      std::printf(" %s=%.0f", counter.name.c_str(), counter.value);
-    }
-    for (const auto& timing : response->stages) {
-      std::printf(" %s_ms=%.2f", timing.stage.c_str(), timing.millis);
-    }
-    std::printf("\n");
-    // Structured span tree of the same request (the machine-readable
-    // form is response->trace_json()).
+    // Span tree of the request: stage times plus the laziness counters
+    // (how much of the score-ordered index lists the run decoded vs
+    // left untouched). The machine-readable form is
+    // response->trace_json().
     if (response->span.has_value()) {
       std::printf("%s", response->span->ToPretty().c_str());
     }

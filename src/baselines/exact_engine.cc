@@ -29,24 +29,23 @@ Result<core::QueryResponse> ExactEngine::Execute(
   TRINIT_ASSIGN_OR_RETURN(
       const query::Query* q,
       core::ResolveRequestQuery(request, xkg_.dict(), &parsed_storage));
-  if (request.trace) {
-    response.stages.push_back({"parse", stage.ElapsedMillis()});
-  }
+  const double parse_ms = stage.ElapsedMillis();
 
   stage.Reset();
   topk::TopKProcessor processor(xkg_, empty_rules_, resolved.scorer,
                                 resolved.processor);
   TRINIT_ASSIGN_OR_RETURN(topk::TopKResult computed, processor.Answer(*q));
   response.AdoptResult(std::move(computed));
-  if (request.trace) {
-    response.stages.push_back({"process", stage.ElapsedMillis()});
-    core::AppendRunStatsTrace(response.stats, &response);
-  }
+  const double process_ms = stage.ElapsedMillis();
 
   response.effective_scorer = resolved.scorer;
   response.effective_processor = resolved.processor;
   response.deadline_hit = response.stats.deadline_hit;
   response.wall_ms = total.ElapsedMillis();
+  if (request.trace) {
+    response.span =
+        core::RequestSpan(response, parse_ms, std::nullopt, process_ms);
+  }
   return response;
 }
 

@@ -26,9 +26,7 @@ Result<core::QueryResponse> KeywordEngine::Execute(
   TRINIT_ASSIGN_OR_RETURN(
       const query::Query* q,
       core::ResolveRequestQuery(request, xkg_.dict(), &parsed_storage));
-  if (request.trace) {
-    response.stages.push_back({"parse", stage.ElapsedMillis()});
-  }
+  const double parse_ms = stage.ElapsedMillis();
 
   stage.Reset();
   topk::TopKResult computed;
@@ -43,14 +41,15 @@ Result<core::QueryResponse> KeywordEngine::Execute(
                             AnswerWith(scorer_, *q, resolved.processor.k));
   }
   response.AdoptResult(std::move(computed));
-  if (request.trace) {
-    response.stages.push_back({"process", stage.ElapsedMillis()});
-    core::AppendRunStatsTrace(response.stats, &response);
-  }
+  const double process_ms = stage.ElapsedMillis();
 
   response.effective_scorer = resolved.scorer;
   response.effective_processor = resolved.processor;
   response.wall_ms = total.ElapsedMillis();
+  if (request.trace) {
+    response.span =
+        core::RequestSpan(response, parse_ms, std::nullopt, process_ms);
+  }
   return response;
 }
 

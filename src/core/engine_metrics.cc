@@ -110,9 +110,6 @@ EngineMetrics EngineMetrics::Register(obs::MetricsRegistry& registry) {
   m.bytes_touched_open = registry.RegisterGauge(
       "trinit_storage_bytes_touched_at_open",
       "Distinct file bytes read during the last snapshot open.");
-  m.bytes_prefetched = registry.RegisterGauge(
-      "trinit_storage_bytes_prefetched",
-      "Bytes covered by readahead hints at the last open.");
   m.resident_bytes = registry.RegisterGauge(
       "trinit_storage_resident_bytes",
       "Private bytes of the loaded serving state.");

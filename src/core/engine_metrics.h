@@ -54,7 +54,6 @@ struct EngineMetrics {
   obs::Histogram open_ms;         ///< snapshot open latency
   obs::Gauge snapshot_bytes;      ///< last-opened snapshot file size
   obs::Gauge bytes_touched_open;  ///< bytes read during that open
-  obs::Gauge bytes_prefetched;    ///< bytes covered by readahead hints
   obs::Gauge resident_bytes;      ///< private bytes of the loaded state
   obs::Gauge mapped;              ///< 1 = serving through an mmap view
 

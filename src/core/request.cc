@@ -1,6 +1,9 @@
 #include "core/request.h"
 
-#include <algorithm>
+#include <optional>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "query/parser.h"
 
@@ -73,6 +76,8 @@ Result<const query::Query*> ResolveRequestQuery(
   return storage;
 }
 
+namespace {
+
 void AppendRunStatsCounters(
     const topk::TopKResult::RunStats& stats,
     std::vector<std::pair<std::string, double>>* counters) {
@@ -115,29 +120,26 @@ void AppendServingStatsCounters(
       static_cast<double>(s.plan_invalidated));
 }
 
-namespace {
-
-void AppendPairsToResponse(
-    const std::vector<std::pair<std::string, double>>& pairs,
-    QueryResponse* response) {
-  for (const auto& [name, value] : pairs) {
-    response->counters.push_back({name, value});
-  }
-}
-
 }  // namespace
 
-void AppendRunStatsTrace(const topk::TopKResult::RunStats& stats,
-                         QueryResponse* response) {
-  std::vector<std::pair<std::string, double>> pairs;
-  AppendRunStatsCounters(stats, &pairs);
-  AppendPairsToResponse(pairs, response);
-}
-
-void AppendServingStatsTrace(QueryResponse* response) {
-  std::vector<std::pair<std::string, double>> pairs;
-  AppendServingStatsCounters(response->serving, &pairs);
-  AppendPairsToResponse(pairs, response);
+obs::TraceSpan RequestSpan(const QueryResponse& response, double parse_ms,
+                           std::optional<double> cache_ms,
+                           std::optional<double> process_ms) {
+  obs::TraceSpan root;
+  root.name = "execute";
+  root.duration_ms = response.wall_ms;
+  AppendRunStatsCounters(response.stats, &root.counters);
+  AppendServingStatsCounters(response.serving, &root.counters);
+  // Stages run strictly in parse -> cache -> process order, so each
+  // child starts where the previous one ended.
+  root.AddChild("parse", 0.0, parse_ms);
+  double start_ms = parse_ms;
+  if (cache_ms.has_value()) {
+    root.AddChild("cache", start_ms, *cache_ms);
+    start_ms += *cache_ms;
+  }
+  if (process_ms.has_value()) root.AddChild("process", start_ms, *process_ms);
+  return root;
 }
 
 }  // namespace trinit::core

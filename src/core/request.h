@@ -4,8 +4,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "obs/trace_span.h"
 #include "query/query.h"
@@ -58,7 +56,7 @@ struct QueryRequest {
   /// processor's configured cap.
   size_t max_items_budget = 0;
 
-  /// Collect per-stage wall times into `QueryResponse::stages`.
+  /// Attach the request's span tree (`QueryResponse::span`).
   bool trace = false;
 
   /// Convenience: a request for `text` with `k` answers.
@@ -66,22 +64,6 @@ struct QueryRequest {
 
   /// Convenience: a request for an already-parsed query.
   static QueryRequest Parsed(query::Query query, int k = 0);
-};
-
-/// One timed execution stage of a request (filled when
-/// `QueryRequest::trace` is set).
-struct StageTiming {
-  std::string stage;  ///< "parse", "process", ...
-  double millis = 0.0;
-};
-
-/// One named processing counter of a traced request ("items_pulled",
-/// "alternatives_opened", ...) — the `TopKResult::RunStats` of the run,
-/// flattened so clients, the shell, and benches can observe how lazy
-/// the execution actually was without knowing the processor's types.
-struct TraceCounter {
-  std::string name;
-  double value = 0.0;
 };
 
 /// Engine-level serving-cache observation for one request (PR 4): did
@@ -159,13 +141,6 @@ struct QueryResponse {
   /// End-to-end wall time of `Execute`, milliseconds.
   double wall_ms = 0.0;
 
-  /// Per-stage wall times; empty unless the request asked for a trace.
-  std::vector<StageTiming> stages;
-
-  /// Processing counters (the run's `RunStats`); empty unless the
-  /// request asked for a trace.
-  std::vector<TraceCounter> counters;
-
   /// The options the request actually ran with, after merging the
   /// engine's defaults with the per-request overrides.
   scoring::ScorerOptions effective_scorer;
@@ -175,11 +150,9 @@ struct QueryResponse {
   /// finished — `result()` holds the best answers found in budget.
   bool deadline_hit = false;
 
-  /// Hierarchical trace of this request (PR 10): a root "execute" span
+  /// Trace of this request (see `RequestSpan`): a root "execute" span
   /// carrying the uniform counter set, with one child per stage
-  /// ("parse", "cache", "process"). Set only for traced requests — the
-  /// structured superset of `stages`/`counters`, which remain for
-  /// source compatibility.
+  /// ("parse", "cache", "process"). Set only for traced requests.
   std::optional<obs::TraceSpan> span;
 
   /// The span tree as compact JSON (see obs/trace_span.h for the
@@ -212,27 +185,16 @@ Result<const query::Query*> ResolveRequestQuery(
     const QueryRequest& request, const rdf::Dictionary& dict,
     query::Query* storage);
 
-/// Flattens a run's `RunStats` into name/value pairs. Shared by every
-/// `Engine` implementation (and the span builder) so traced output
-/// exposes a uniform counter vocabulary: every key is emitted for
-/// every run.
-void AppendRunStatsCounters(
-    const topk::TopKResult::RunStats& stats,
-    std::vector<std::pair<std::string, double>>* counters);
-
-/// Flattens `ServingStats` into `serving_*` name/value pairs.
-void AppendServingStatsCounters(
-    const ServingStats& serving,
-    std::vector<std::pair<std::string, double>>* counters);
-
-/// Legacy flat-list shims over the two helpers above, appending to
-/// `response->counters`.
-void AppendRunStatsTrace(const topk::TopKResult::RunStats& stats,
-                         QueryResponse* response);
-
-/// Flattens `response->serving` into `response->counters` (the
-/// `serving_*` names); engines without a serving cache skip it.
-void AppendServingStatsTrace(QueryResponse* response);
+/// The span every `Engine` attaches to a traced request: a root
+/// "execute" span lasting `response.wall_ms` that carries the run's
+/// `RunStats` and then `response.serving` as name/value counters (every
+/// key on every run, so traces from any engine read alike), with one
+/// child per stage that ran — "parse", then "cache", then "process" —
+/// each starting where the one before it ended. Build it once
+/// `response` is complete.
+obs::TraceSpan RequestSpan(const QueryResponse& response, double parse_ms,
+                           std::optional<double> cache_ms,
+                           std::optional<double> process_ms);
 
 }  // namespace trinit::core
 

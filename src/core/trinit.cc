@@ -99,8 +99,6 @@ void Trinit::RecordOpenMetrics(const storage::LoadReport& report,
   metrics_.open_ms.Observe(open_ms);
   metrics_.snapshot_bytes.Set(static_cast<int64_t>(report.bytes));
   metrics_.bytes_touched_open.Set(static_cast<int64_t>(report.bytes_touched));
-  metrics_.bytes_prefetched.Set(
-      static_cast<int64_t>(report.bytes_prefetched));
   metrics_.resident_bytes.Set(static_cast<int64_t>(report.resident_bytes));
   metrics_.mapped.Set(report.mapped ? 1 : 0);
 }
@@ -110,8 +108,7 @@ Status Trinit::Save(const std::string& path) const {
   // queries proceed, a racing mutator waits (or we wait for it).
   ReaderMutexLock lock(*state_mu_);
   return storage::SnapshotWriter::Write(*xkg_, rules_,
-                                        serving_cache_->generation(), path,
-                                        options_.snapshot_write);
+                                        serving_cache_->generation(), path);
 }
 
 Result<Trinit> Trinit::FromWorld(const synth::World& world,
@@ -247,25 +244,19 @@ Result<QueryResponse> Trinit::Execute(const QueryRequest& request) const {
     return resolved_query.status();
   }
   const query::Query* q = *resolved_query;
-  // Stage wall times are always measured (the observation layer needs
-  // them for spans and the latency histogram); the `stages` list itself
-  // stays trace-only, as documented.
+  // Stage wall times are always measured: the span tree of a traced or
+  // slow request is built from them after the fact. A stage that did
+  // not run stays unset.
   const double parse_ms = stage.ElapsedMillis();
-  if (request.trace) {
-    response.stages.push_back({"parse", parse_ms});
-  }
-  double cache_ms = 0.0;
-  bool cache_stage_ran = false;
-  double process_ms = 0.0;
-  bool process_stage_ran = false;
+  std::optional<double> cache_ms;
+  std::optional<double> process_ms;
 
   auto finish = [&]() -> QueryResponse&& {
     response.effective_scorer = resolved.scorer;
     response.effective_processor = resolved.processor;
     response.deadline_hit = response.stats.deadline_hit;
     response.wall_ms = total.ElapsedMillis();
-    FinishRequestObservation(request, *q, parse_ms, cache_ms,
-                             cache_stage_ran, process_ms, process_stage_ran,
+    FinishRequestObservation(request, *q, parse_ms, cache_ms, process_ms,
                              &response);
     return std::move(response);
   };
@@ -290,10 +281,6 @@ Result<QueryResponse> Trinit::Execute(const QueryRequest& request) const {
     std::shared_ptr<const topk::TopKResult> cached =
         serving_cache_->LookupAnswer(answer_key);
     cache_ms = stage.ElapsedMillis();
-    cache_stage_ran = true;
-    if (request.trace) {
-      response.stages.push_back({"cache", cache_ms});
-    }
     if (cached != nullptr) {
       // Alias the stored immutable body — no deep copy of k answers.
       // `response.stats` stays all-zero: the hit did no processing work
@@ -311,10 +298,6 @@ Result<QueryResponse> Trinit::Execute(const QueryRequest& request) const {
   TRINIT_ASSIGN_OR_RETURN(topk::TopKResult computed, processor.Answer(*q));
   response.AdoptResult(std::move(computed));
   process_ms = stage.ElapsedMillis();
-  process_stage_ran = true;
-  if (request.trace) {
-    response.stages.push_back({"process", process_ms});
-  }
 
   // Only complete runs are cacheable: a deadline-truncated result is
   // not what uncached execution would produce tomorrow. Storing shares
@@ -325,10 +308,11 @@ Result<QueryResponse> Trinit::Execute(const QueryRequest& request) const {
   return finish();
 }
 
-void Trinit::FinishRequestObservation(
-    const QueryRequest& request, const query::Query& q, double parse_ms,
-    double cache_ms, bool cache_stage_ran, double process_ms,
-    bool process_stage_ran, QueryResponse* response) const {
+void Trinit::FinishRequestObservation(const QueryRequest& request,
+                                      const query::Query& q, double parse_ms,
+                                      std::optional<double> cache_ms,
+                                      std::optional<double> process_ms,
+                                      QueryResponse* response) const {
   // The caller has already stamped `response->wall_ms`, so every
   // consumer below (latency histogram, span tree, slow-log gate) sees
   // one consistent end-to-end number.
@@ -347,10 +331,6 @@ void Trinit::FinishRequestObservation(
       static_cast<size_t>(metrics_.plan_invalidated.Value());
 
   const topk::TopKResult::RunStats& stats = response->stats;
-  if (request.trace) {
-    AppendRunStatsTrace(stats, response);
-    AppendServingStatsTrace(response);
-  }
 
   // ------------------------------------------------ registry recording
   metrics_.request_ms.Observe(response->wall_ms);
@@ -380,21 +360,7 @@ void Trinit::FinishRequestObservation(
   const bool slow = slow_log_->ShouldRecord(response->wall_ms);
   if (!request.trace && !slow) return;
 
-  obs::TraceSpan root;
-  root.name = "execute";
-  root.start_ms = 0.0;
-  root.duration_ms = response->wall_ms;
-  std::vector<std::pair<std::string, double>> counters;
-  AppendRunStatsCounters(stats, &counters);
-  AppendServingStatsCounters(serving, &counters);
-  root.counters = counters;
-  // Children carry cumulative start offsets — stages run strictly in
-  // parse -> cache -> process order.
-  root.AddChild("parse", 0.0, parse_ms);
-  if (cache_stage_ran) root.AddChild("cache", parse_ms, cache_ms);
-  if (process_stage_ran) {
-    root.AddChild("process", parse_ms + cache_ms, process_ms);
-  }
+  obs::TraceSpan root = RequestSpan(*response, parse_ms, cache_ms, process_ms);
 
   if (slow) {
     obs::SlowQueryRecord record;
@@ -416,7 +382,7 @@ void Trinit::FinishRequestObservation(
       }
       record.plan = std::move(plan_text);
     }
-    record.counters = std::move(counters);
+    record.counters = root.counters;
     record.span = root;
     slow_log_->Record(std::move(record));
     metrics_.slowlog_records.Increment();

@@ -2,6 +2,7 @@
 #define TRINIT_CORE_TRINIT_H_
 
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -54,9 +55,6 @@ struct TrinitOptions {
   /// mmap with zero-copy section views, and how hard to verify. See
   /// `storage::SnapshotReader` for the mode/verification contract.
   storage::ReadOptions snapshot_read;
-  /// How `Save` encodes the snapshot: the per-section codec. See
-  /// `storage::SnapshotWriter`.
-  storage::WriteOptions snapshot_write;
 
   /// Observability (PR 10): the always-on metrics registry, the
   /// slow-query log's threshold and ring capacity. `obs.metrics =
@@ -277,8 +275,8 @@ class Trinit : public Engine {
   /// Called at the end of `Execute` on every path that has a response.
   void FinishRequestObservation(const QueryRequest& request,
                                 const query::Query& q, double parse_ms,
-                                double cache_ms, bool cache_stage_ran,
-                                double process_ms, bool process_stage_ran,
+                                std::optional<double> cache_ms,
+                                std::optional<double> process_ms,
                                 QueryResponse* response) const;
 
   /// Records storage-layer metrics of one snapshot open.

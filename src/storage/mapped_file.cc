@@ -1,6 +1,5 @@
 #include "storage/mapped_file.h"
 
-#include <algorithm>
 #include <utility>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -49,18 +48,6 @@ MappedFile::~MappedFile() {
   }
 }
 
-bool MappedFile::AdviseWillNeed(size_t offset, size_t length) const {
-  if (data_ == nullptr || length == 0 || offset >= size_) return false;
-  length = std::min(length, size_ - offset);
-  // posix_madvise takes page-aligned addresses; round the start down
-  // (the extra head bytes are on the same page anyway).
-  const size_t page = static_cast<size_t>(::sysconf(_SC_PAGESIZE));
-  const size_t head = offset % page;
-  return ::posix_madvise(
-             const_cast<char*>(data_ + (offset - head)), length + head,
-             POSIX_MADV_WILLNEED) == 0;
-}
-
 #else  // !TRINIT_HAVE_MMAP
 
 Result<MappedFile> MappedFile::Map(const std::string& path) {
@@ -69,8 +56,6 @@ Result<MappedFile> MappedFile::Map(const std::string& path) {
 }
 
 MappedFile::~MappedFile() = default;
-
-bool MappedFile::AdviseWillNeed(size_t, size_t) const { return false; }
 
 #endif  // TRINIT_HAVE_MMAP
 

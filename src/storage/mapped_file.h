@@ -50,13 +50,6 @@ class MappedFile {
   std::span<const char> bytes() const { return {data_, size_}; }
   size_t size() const { return size_; }
 
-  /// Hints the kernel (posix_madvise WILLNEED) to start readahead on
-  /// `[offset, offset + length)`, rounded out to page boundaries.
-  /// Purely advisory: returns true when the hint was issued, false on
-  /// platforms without madvise or when the kernel declined — callers
-  /// must not change behavior on the answer beyond reporting it.
-  bool AdviseWillNeed(size_t offset, size_t length) const;
-
  private:
   const char* data_ = nullptr;
   size_t size_ = 0;

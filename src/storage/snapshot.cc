@@ -1,13 +1,16 @@
 #include "storage/snapshot.h"
 
-#include <algorithm>
+#include <cerrno>
+#include <chrono>
 #include <cstddef>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <span>
 #include <string_view>
+#include <thread>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -15,7 +18,6 @@
 #include "rdf/graph_stats.h"
 #include "rdf/triple_store.h"
 #include "storage/mapped_file.h"
-#include "storage/varint.h"
 #include "util/hash.h"
 #include "util/owned_span.h"
 
@@ -178,7 +180,6 @@ struct SectionRef {
   uint64_t offset = 0;
   uint64_t length = 0;
   uint64_t checksum = 0;
-  SectionCodec codec = SectionCodec::kRaw;
 };
 
 std::span<const char> SectionSpan(std::span<const char> file,
@@ -198,17 +199,6 @@ bool MakeView(std::span<const char> file, uint64_t offset, uint64_t count,
   if (reinterpret_cast<uintptr_t>(p) % alignof(T) != 0) return false;
   *out = std::span<const T>(reinterpret_cast<const T*>(p),
                             static_cast<size_t>(count));
-  return true;
-}
-
-/// Reads a zigzag delta whose magnitude must fit the 32-bit id space;
-/// bounding it here keeps the running accumulators far from signed
-/// overflow on hostile input.
-bool GetSmallZigzag(const char* data, size_t size, size_t* pos, int64_t* d) {
-  uint64_t raw;
-  if (!GetVarint(data, size, pos, &raw)) return false;
-  if (raw > (uint64_t{1} << 33)) return false;
-  *d = ZigzagDecode(raw);
   return true;
 }
 
@@ -251,34 +241,9 @@ std::string EncodeTriples(const rdf::TripleStore& store) {
   return out;
 }
 
-// Triples are SPO-sorted, so `s` is nondecreasing (plain varint delta)
-// while `p`/`o` jitter around their previous values (zigzag). The
-// confidence delta is taken on the float's bit pattern — runs of equal
-// confidence (the common case) cost one byte.
-std::string EncodeTriplesVarint(const rdf::TripleStore& store) {
-  std::string out;
-  PutVarint(&out, store.size());
-  uint32_t ps = 0, pp = 0, po = 0, pc = 0;
-  for (const rdf::Triple& t : store.triples()) {
-    uint32_t bits;
-    std::memcpy(&bits, &t.confidence, 4);
-    PutVarint(&out, t.s - ps);
-    PutZigzag(&out, static_cast<int64_t>(t.p) - pp);
-    PutZigzag(&out, static_cast<int64_t>(t.o) - po);
-    PutZigzag(&out, static_cast<int64_t>(bits) - pc);
-    PutVarint(&out, t.count);
-    PutVarint(&out, t.source);
-    ps = t.s;
-    pp = t.p;
-    po = t.o;
-    pc = bits;
-  }
-  return out;
-}
-
 // u32 num + u32 reserved, per perm u64 n + ids, zero-padded to 8 so
 // every array is viewable in place.
-std::string EncodePermutationsRaw(const rdf::TripleStore& store) {
+std::string EncodePermutations(const rdf::TripleStore& store) {
   std::string out;
   PutU32(&out,
          static_cast<uint32_t>(rdf::TripleStore::kNumIndexPermutations));
@@ -293,24 +258,9 @@ std::string EncodePermutationsRaw(const rdf::TripleStore& store) {
   return out;
 }
 
-std::string EncodePermutationsVarint(const rdf::TripleStore& store) {
-  std::string out;
-  PutVarint(&out, rdf::TripleStore::kNumIndexPermutations);
-  for (size_t i = 0; i < rdf::TripleStore::kNumIndexPermutations; ++i) {
-    std::span<const rdf::TripleId> perm = store.IndexPermutation(i);
-    PutVarint(&out, perm.size());
-    int64_t prev = 0;
-    for (rdf::TripleId id : perm) {
-      PutZigzag(&out, static_cast<int64_t>(id) - prev);
-      prev = id;
-    }
-  }
-  return out;
-}
-
 // u32 num + u32 reserved, per shape u32 shape + u32 reserved + u64 n +
 // ids + pad + (n+1) u64 masses, viewable.
-std::string EncodeScoreShapesRaw(const rdf::TripleStore& store) {
+std::string EncodeScoreShapes(const rdf::TripleStore& store) {
   std::string out;
   std::vector<rdf::ScoreOrderIndex::ShapeView> shapes =
       store.BuiltScoreShapes();
@@ -327,30 +277,7 @@ std::string EncodeScoreShapesRaw(const rdf::TripleStore& store) {
   return out;
 }
 
-std::string EncodeScoreShapesVarint(const rdf::TripleStore& store) {
-  std::string out;
-  std::vector<rdf::ScoreOrderIndex::ShapeView> shapes =
-      store.BuiltScoreShapes();
-  PutVarint(&out, shapes.size());
-  for (const rdf::ScoreOrderIndex::ShapeView& shape : shapes) {
-    PutVarint(&out, shape.shape);
-    PutVarint(&out, shape.ids.size());
-    int64_t prev = 0;
-    for (rdf::TripleId id : shape.ids) {
-      PutZigzag(&out, static_cast<int64_t>(id) - prev);
-      prev = id;
-    }
-    // Prefix masses are nondecreasing by construction: plain deltas.
-    uint64_t prev_mass = 0;
-    for (uint64_t mass : shape.prefix_mass) {
-      PutVarint(&out, mass - prev_mass);
-      prev_mass = mass;
-    }
-  }
-  return out;
-}
-
-std::string EncodeGraphStatsRaw(const rdf::GraphStats& stats) {
+std::string EncodeGraphStats(const rdf::GraphStats& stats) {
   std::string out;
   PutU64(&out, stats.predicates().size());
   for (rdf::TermId p : stats.predicates()) {
@@ -370,36 +297,7 @@ std::string EncodeGraphStatsRaw(const rdf::GraphStats& stats) {
   return out;
 }
 
-// Predicates are strictly ascending; each predicate's (s,o) pairs are
-// sorted lexicographically, so `first` takes plain varint deltas and
-// `second` zigzag deltas.
-std::string EncodeGraphStatsVarint(const rdf::GraphStats& stats) {
-  std::string out;
-  PutVarint(&out, stats.predicates().size());
-  uint64_t prev_p = 0;
-  for (rdf::TermId p : stats.predicates()) {
-    const rdf::GraphStats::PredicateStats* ps = stats.ForPredicate(p);
-    PutVarint(&out, p - prev_p);
-    prev_p = p;
-    PutVarint(&out, ps->triple_count);
-    PutVarint(&out, ps->evidence_count);
-    PutVarint(&out, ps->distinct_subjects);
-    PutVarint(&out, ps->distinct_objects);
-    const auto& args = stats.Args(p);
-    PutVarint(&out, args.size());
-    uint64_t prev_first = 0;
-    int64_t prev_second = 0;
-    for (const auto& [s, o] : args) {
-      PutVarint(&out, s - prev_first);
-      PutZigzag(&out, static_cast<int64_t>(o) - prev_second);
-      prev_first = s;
-      prev_second = o;
-    }
-  }
-  return out;
-}
-
-std::string EncodeProvenanceRaw(const xkg::Xkg& xkg, uint64_t* records_out) {
+std::string EncodeProvenance(const xkg::Xkg& xkg, uint64_t* records_out) {
   std::string out;
   std::string body;
   uint64_t entries = 0;
@@ -419,72 +317,6 @@ std::string EncodeProvenanceRaw(const xkg::Xkg& xkg, uint64_t* records_out) {
   }
   PutU64(&out, entries);
   out += body;
-  return out;
-}
-
-// PROV dominates snapshot bytes and its cost is sentence text, which
-// plain delta coding cannot touch. The varint codec therefore
-// deduplicates sentences into a sorted front-coded table (shared
-// prefix length + suffix) and stores per-record sentence *references*;
-// numeric fields take varints, confidence as a zigzag wraparound delta
-// of the f64 bit pattern (runs of equal confidence cost one byte).
-std::string EncodeProvenanceVarint(const xkg::Xkg& xkg,
-                                   uint64_t* records_out) {
-  struct Entry {
-    rdf::TripleId id;
-    const std::vector<xkg::Provenance>* records;
-  };
-  std::vector<Entry> entries;
-  std::vector<std::string_view> sentences;
-  for (rdf::TripleId id = 0; id < xkg.store().size(); ++id) {
-    const std::vector<xkg::Provenance>& records = xkg.ProvenanceFor(id);
-    if (records.empty()) continue;
-    entries.push_back({id, &records});
-    for (const xkg::Provenance& prov : records) {
-      sentences.push_back(prov.sentence);
-    }
-  }
-  std::sort(sentences.begin(), sentences.end());
-  sentences.erase(std::unique(sentences.begin(), sentences.end()),
-                  sentences.end());
-  std::unordered_map<std::string_view, uint64_t> sentence_index;
-  sentence_index.reserve(sentences.size());
-  for (uint64_t i = 0; i < sentences.size(); ++i) {
-    sentence_index.emplace(sentences[i], i);
-  }
-
-  std::string out;
-  PutVarint(&out, entries.size());
-  PutVarint(&out, sentences.size());
-  std::string_view prev;
-  for (std::string_view s : sentences) {
-    size_t lcp = 0;
-    const size_t max = std::min(prev.size(), s.size());
-    while (lcp < max && prev[lcp] == s[lcp]) ++lcp;
-    PutVarint(&out, lcp);
-    PutVarint(&out, s.size() - lcp);
-    out.append(s.substr(lcp));
-    prev = s;
-  }
-  uint64_t prev_id_plus1 = 0;
-  uint64_t prev_bits = 0;
-  for (const Entry& e : entries) {
-    // Entry ids are strictly ascending: delta of (id + 1) is >= 1, and
-    // the decoder rejects 0 (a duplicate) structurally.
-    PutVarint(&out, uint64_t{e.id} + 1 - prev_id_plus1);
-    prev_id_plus1 = uint64_t{e.id} + 1;
-    PutVarint(&out, e.records->size());
-    for (const xkg::Provenance& prov : *e.records) {
-      uint64_t bits;
-      std::memcpy(&bits, &prov.extraction_confidence, 8);
-      PutVarint(&out, prov.doc_id);
-      PutVarint(&out, prov.sentence_idx);
-      PutZigzag(&out, static_cast<int64_t>(bits - prev_bits));
-      prev_bits = bits;
-      PutVarint(&out, sentence_index.at(prov.sentence));
-      ++*records_out;
-    }
-  }
   return out;
 }
 
@@ -555,57 +387,10 @@ Status DecodeTriples(Cursor* c, std::vector<rdf::Triple>* triples) {
   return Status::Ok();
 }
 
-Status DecodeTriplesVarint(std::span<const char> d,
-                           std::vector<rdf::Triple>* triples) {
-  const char* data = d.data();
-  const size_t size = d.size();
-  size_t pos = 0;
-  uint64_t count;
-  if (!GetVarint(data, size, &pos, &count)) return Corrupt("triple count");
-  // Each triple is at least 6 varint bytes; reject a hostile count
-  // before allocating.
-  if ((size - pos) / 6 < count) return Corrupt("triple section short");
-  triples->resize(count);
-  uint64_t ps = 0;
-  int64_t pp = 0, po = 0, pc = 0;
-  for (uint64_t i = 0; i < count; ++i) {
-    rdf::Triple& t = (*triples)[i];
-    uint64_t ds, cnt, src;
-    int64_t dp, dobj, dc;
-    if (!GetVarint(data, size, &pos, &ds) ||
-        !GetSmallZigzag(data, size, &pos, &dp) ||
-        !GetSmallZigzag(data, size, &pos, &dobj) ||
-        !GetSmallZigzag(data, size, &pos, &dc) ||
-        !GetVarint(data, size, &pos, &cnt) ||
-        !GetVarint(data, size, &pos, &src) || ds > UINT32_MAX) {
-      return Corrupt("triple " + std::to_string(i));
-    }
-    ps += ds;
-    pp += dp;
-    po += dobj;
-    pc += dc;
-    if (ps > UINT32_MAX || pp < 0 || pp > UINT32_MAX || po < 0 ||
-        po > UINT32_MAX || pc < 0 || pc > UINT32_MAX || cnt > UINT32_MAX ||
-        src > UINT32_MAX) {
-      return Corrupt("triple field out of range");
-    }
-    t.s = static_cast<uint32_t>(ps);
-    t.p = static_cast<uint32_t>(pp);
-    t.o = static_cast<uint32_t>(po);
-    const uint32_t bits = static_cast<uint32_t>(pc);
-    std::memcpy(&t.confidence, &bits, 4);
-    t.count = static_cast<uint32_t>(cnt);
-    t.source = static_cast<uint32_t>(src);
-  }
-  if (pos != size) return Corrupt("trailing bytes after triples");
-  return Status::Ok();
-}
-
-/// Raw TRIPLES: decode, or view the 24-byte records in place when
-/// `view`.
-Status LoadTriplesRaw(std::span<const char> file, const SectionRef& s,
-                      bool view, util::OwnedSpan<rdf::Triple>* out,
-                      size_t* framing) {
+/// TRIPLES: decode, or view the 24-byte records in place when `view`.
+Status LoadTriples(std::span<const char> file, const SectionRef& s,
+                   bool view, util::OwnedSpan<rdf::Triple>* out,
+                   size_t* framing) {
   if (view) {
     if (s.length < 8) return Corrupt("triple count");
     const uint64_t count = LoadU64(file.data() + s.offset);
@@ -627,11 +412,11 @@ Status LoadTriplesRaw(std::span<const char> file, const SectionRef& s,
   return Status::Ok();
 }
 
-/// Raw PERMS: walk the aligned layout, viewing each array in place
+/// PERMS: walk the aligned layout, viewing each array in place
 /// (`view`) or copying it out.
-Status LoadPermutationsRaw(std::span<const char> file, const SectionRef& s,
-                           bool view, rdf::TripleStore::IndexSnapshot* indexes,
-                           size_t* framing) {
+Status LoadPermutations(std::span<const char> file, const SectionRef& s,
+                        bool view, rdf::TripleStore::IndexSnapshot* indexes,
+                        size_t* framing) {
   const char* base = file.data();
   uint64_t pos = s.offset;
   const uint64_t end = s.offset + s.length;
@@ -669,42 +454,9 @@ Status LoadPermutationsRaw(std::span<const char> file, const SectionRef& s,
   return Status::Ok();
 }
 
-Status DecodePermutationsVarint(std::span<const char> d,
-                                rdf::TripleStore::IndexSnapshot* indexes) {
-  const char* data = d.data();
-  const size_t size = d.size();
-  size_t pos = 0;
-  uint64_t num;
-  if (!GetVarint(data, size, &pos, &num)) return Corrupt("permutation count");
-  if (size - pos < num) return Corrupt("permutation section short");
-  indexes->perms.clear();
-  indexes->perms.reserve(num);
-  for (uint64_t p = 0; p < num; ++p) {
-    uint64_t n;
-    if (!GetVarint(data, size, &pos, &n)) return Corrupt("permutation size");
-    if (size - pos < n) return Corrupt("permutation " + std::to_string(p));
-    std::vector<rdf::TripleId> ids(n);
-    int64_t prev = 0;
-    for (uint64_t i = 0; i < n; ++i) {
-      int64_t delta;
-      if (!GetSmallZigzag(data, size, &pos, &delta)) {
-        return Corrupt("permutation " + std::to_string(p));
-      }
-      prev += delta;
-      if (prev < 0 || prev > UINT32_MAX) {
-        return Corrupt("permutation id out of range");
-      }
-      ids[i] = static_cast<uint32_t>(prev);
-    }
-    indexes->perms.emplace_back(std::move(ids));
-  }
-  if (pos != size) return Corrupt("trailing bytes after permutations");
-  return Status::Ok();
-}
-
-Status LoadScoreShapesRaw(std::span<const char> file, const SectionRef& s,
-                          bool view, rdf::TripleStore::IndexSnapshot* indexes,
-                          size_t* framing) {
+Status LoadScoreShapes(std::span<const char> file, const SectionRef& s,
+                       bool view, rdf::TripleStore::IndexSnapshot* indexes,
+                       size_t* framing) {
   const char* base = file.data();
   uint64_t pos = s.offset;
   const uint64_t end = s.offset + s.length;
@@ -767,71 +519,13 @@ Status LoadScoreShapesRaw(std::span<const char> file, const SectionRef& s,
   return Status::Ok();
 }
 
-Status DecodeScoreShapesVarint(std::span<const char> d,
-                               rdf::TripleStore::IndexSnapshot* indexes) {
-  const char* data = d.data();
-  const size_t size = d.size();
-  size_t pos = 0;
-  uint64_t num;
-  if (!GetVarint(data, size, &pos, &num)) return Corrupt("score shape count");
-  if (size - pos < num) return Corrupt("score shape section short");
-  indexes->score_shapes.clear();
-  indexes->score_shapes.resize(num);
-  uint32_t seen_shapes = 0;
-  for (uint64_t i = 0; i < num; ++i) {
-    rdf::ScoreOrderIndex::ShapeSnapshot& shape = indexes->score_shapes[i];
-    uint64_t shape_id, n;
-    if (!GetVarint(data, size, &pos, &shape_id) ||
-        !GetVarint(data, size, &pos, &n)) {
-      return Corrupt("score shape " + std::to_string(i));
-    }
-    if (shape_id >= 32 || (seen_shapes & (1u << shape_id)) != 0) {
-      return Corrupt("duplicate or out-of-range score shape id " +
-                     std::to_string(shape_id));
-    }
-    seen_shapes |= 1u << shape_id;
-    shape.shape = static_cast<uint32_t>(shape_id);
-    if (size - pos < n) return Corrupt("score shape ids");
-    std::vector<rdf::TripleId> ids(n);
-    int64_t prev = 0;
-    for (uint64_t j = 0; j < n; ++j) {
-      int64_t delta;
-      if (!GetSmallZigzag(data, size, &pos, &delta)) {
-        return Corrupt("score shape ids");
-      }
-      prev += delta;
-      if (prev < 0 || prev > UINT32_MAX) {
-        return Corrupt("score shape id out of range");
-      }
-      ids[j] = static_cast<uint32_t>(prev);
-    }
-    std::vector<uint64_t> mass(n + 1);
-    uint64_t prev_mass = 0;
-    for (uint64_t j = 0; j <= n; ++j) {
-      uint64_t delta;
-      if (!GetVarint(data, size, &pos, &delta)) {
-        return Corrupt("score shape mass");
-      }
-      if (delta > UINT64_MAX - prev_mass) {
-        return Corrupt("score shape mass overflow");
-      }
-      prev_mass += delta;
-      mass[j] = prev_mass;
-    }
-    shape.ids = std::move(ids);
-    shape.prefix_mass = std::move(mass);
-  }
-  if (pos != size) return Corrupt("trailing bytes after score shapes");
-  return Status::Ok();
-}
-
-/// Raw STATS: only the 32-byte per-predicate headers are walked
+/// STATS: only the 32-byte per-predicate headers are walked
 /// (counted as framing when viewed); each predicate's (s,o) pair array
 /// becomes a view when `view`, an owned copy otherwise. The layout is
 /// fully 8-aligned.
-Status LoadGraphStatsRaw(std::span<const char> file, const SectionRef& s,
-                         bool view, rdf::SnapshotValidation validation,
-                         Result<rdf::GraphStats>* out, size_t* framing) {
+Status LoadGraphStats(std::span<const char> file, const SectionRef& s,
+                      bool view, rdf::SnapshotValidation validation,
+                      Result<rdf::GraphStats>* out, size_t* framing) {
   const char* base = file.data();
   uint64_t pos = s.offset;
   const uint64_t end = s.offset + s.length;
@@ -885,78 +579,8 @@ Status LoadGraphStatsRaw(std::span<const char> file, const SectionRef& s,
   return out->ok() ? Status::Ok() : out->status();
 }
 
-Status DecodeGraphStatsVarint(std::span<const char> d,
-                              rdf::SnapshotValidation validation,
-                              Result<rdf::GraphStats>* out) {
-  const char* data = d.data();
-  const size_t size = d.size();
-  size_t pos = 0;
-  uint64_t count;
-  if (!GetVarint(data, size, &pos, &count)) return Corrupt("graph-stats count");
-  // Each predicate costs at least 6 varint bytes.
-  if ((size - pos) / 6 < count) return Corrupt("graph-stats short");
-  std::vector<rdf::TermId> predicates;
-  predicates.reserve(count);
-  std::unordered_map<rdf::TermId, rdf::GraphStats::PredicateStats> stats;
-  std::unordered_map<rdf::TermId, rdf::GraphStats::ArgPairs> args;
-  uint64_t prev_p = 0;
-  for (uint64_t i = 0; i < count; ++i) {
-    uint64_t dp, tc, ev, ds, dobj, argn;
-    if (!GetVarint(data, size, &pos, &dp) ||
-        !GetVarint(data, size, &pos, &tc) ||
-        !GetVarint(data, size, &pos, &ev) ||
-        !GetVarint(data, size, &pos, &ds) ||
-        !GetVarint(data, size, &pos, &dobj) ||
-        !GetVarint(data, size, &pos, &argn)) {
-      return Corrupt("graph-stats predicate " + std::to_string(i));
-    }
-    // Predicates are strictly ascending: a zero delta is structurally
-    // corrupt (and guarantees no duplicate map keys below).
-    if (dp == 0 || dp > UINT32_MAX - prev_p || tc > UINT32_MAX ||
-        ds > UINT32_MAX || dobj > UINT32_MAX) {
-      return Corrupt("graph-stats field out of range");
-    }
-    prev_p += dp;
-    const rdf::TermId p = static_cast<uint32_t>(prev_p);
-    rdf::GraphStats::PredicateStats ps;
-    ps.triple_count = static_cast<uint32_t>(tc);
-    ps.evidence_count = ev;
-    ps.distinct_subjects = static_cast<uint32_t>(ds);
-    ps.distinct_objects = static_cast<uint32_t>(dobj);
-    // Each pair costs at least 2 varint bytes.
-    if ((size - pos) / 2 < argn) return Corrupt("graph-stats args short");
-    std::vector<ArgPair> pairs(argn);
-    uint64_t prev_first = 0;
-    int64_t prev_second = 0;
-    for (uint64_t j = 0; j < argn; ++j) {
-      uint64_t df;
-      int64_t dsec;
-      if (!GetVarint(data, size, &pos, &df) ||
-          !GetSmallZigzag(data, size, &pos, &dsec) ||
-          df > UINT32_MAX - prev_first) {
-        return Corrupt("graph-stats arg pair");
-      }
-      prev_first += df;
-      prev_second += dsec;
-      if (prev_second < 0 || prev_second > UINT32_MAX) {
-        return Corrupt("graph-stats arg pair out of range");
-      }
-      pairs[j] = {static_cast<uint32_t>(prev_first),
-                  static_cast<uint32_t>(prev_second)};
-    }
-    predicates.push_back(p);
-    stats.emplace(p, ps);
-    args.emplace(p, std::move(pairs));
-  }
-  if (pos != size) return Corrupt("trailing bytes after graph stats");
-  *out = rdf::GraphStats::FromSnapshot(std::move(predicates),
-                                       std::move(stats), std::move(args),
-                                       validation);
-  return out->ok() ? Status::Ok() : out->status();
-}
-
-Status DecodeProvenanceRaw(Cursor* c, xkg::Xkg::ProvenanceMap* prov,
-                           size_t* records_out) {
+Status DecodeProvenance(Cursor* c, xkg::Xkg::ProvenanceMap* prov,
+                        size_t* records_out) {
   uint64_t entries;
   if (!c->ReadU64(&entries)) return Corrupt("provenance count");
   for (uint64_t i = 0; i < entries; ++i) {
@@ -982,93 +606,6 @@ Status DecodeProvenanceRaw(Cursor* c, xkg::Xkg::ProvenanceMap* prov,
   }
   if (!c->AtEnd()) return Corrupt("trailing bytes after provenance");
   return Status::Ok();
-}
-
-Status DecodeProvenanceVarint(std::span<const char> d,
-                              xkg::Xkg::ProvenanceMap* prov,
-                              size_t* records_out) {
-  const char* data = d.data();
-  const size_t size = d.size();
-  size_t pos = 0;
-  uint64_t entries, uniq;
-  if (!GetVarint(data, size, &pos, &entries) ||
-      !GetVarint(data, size, &pos, &uniq)) {
-    return Corrupt("provenance count");
-  }
-  // Each front-coded sentence costs at least 2 varint bytes.
-  if ((size - pos) / 2 < uniq) return Corrupt("provenance sentence table");
-  std::vector<std::string> sentences;
-  sentences.reserve(uniq);
-  std::string prev_sentence;
-  for (uint64_t i = 0; i < uniq; ++i) {
-    uint64_t lcp, suffix;
-    if (!GetVarint(data, size, &pos, &lcp) ||
-        !GetVarint(data, size, &pos, &suffix)) {
-      return Corrupt("provenance sentence " + std::to_string(i));
-    }
-    if (lcp > prev_sentence.size() || suffix > size - pos) {
-      return Corrupt("provenance sentence " + std::to_string(i));
-    }
-    std::string s = prev_sentence.substr(0, static_cast<size_t>(lcp));
-    s.append(data + pos, static_cast<size_t>(suffix));
-    pos += static_cast<size_t>(suffix);
-    prev_sentence = s;
-    sentences.push_back(std::move(s));
-  }
-  // Each entry costs at least 6 varint bytes (id delta, record count,
-  // one 4-byte-minimum record).
-  if ((size - pos) / 6 < entries) return Corrupt("provenance short");
-  uint64_t prev_id_plus1 = 0;
-  uint64_t prev_bits = 0;
-  for (uint64_t i = 0; i < entries; ++i) {
-    uint64_t did, nrec;
-    if (!GetVarint(data, size, &pos, &did) ||
-        !GetVarint(data, size, &pos, &nrec)) {
-      return Corrupt("provenance entry " + std::to_string(i));
-    }
-    // Ids are strictly ascending (delta of id+1 is >= 1): a zero delta
-    // is a duplicate, structurally corrupt.
-    if (did == 0 || did > (uint64_t{1} << 32) - prev_id_plus1 || nrec == 0) {
-      return Corrupt("provenance entry " + std::to_string(i));
-    }
-    prev_id_plus1 += did;
-    const rdf::TripleId id = static_cast<uint32_t>(prev_id_plus1 - 1);
-    if ((size - pos) / 4 < nrec) return Corrupt("provenance short");
-    std::vector<xkg::Provenance>& records = (*prov)[id];
-    records.resize(nrec);
-    for (uint64_t j = 0; j < nrec; ++j) {
-      xkg::Provenance& p = records[j];
-      uint64_t doc, sidx, ref;
-      int64_t dbits;
-      if (!GetVarint(data, size, &pos, &doc) ||
-          !GetVarint(data, size, &pos, &sidx) ||
-          !GetZigzag(data, size, &pos, &dbits) ||
-          !GetVarint(data, size, &pos, &ref) || doc > UINT32_MAX ||
-          sidx > UINT32_MAX || ref >= sentences.size()) {
-        return Corrupt("provenance record");
-      }
-      p.doc_id = static_cast<uint32_t>(doc);
-      p.sentence_idx = static_cast<uint32_t>(sidx);
-      // Confidence bits take wraparound deltas (unsigned arithmetic,
-      // lossless for any pair of f64 bit patterns).
-      prev_bits += static_cast<uint64_t>(dbits);
-      std::memcpy(&p.extraction_confidence, &prev_bits, 8);
-      p.sentence = sentences[ref];
-    }
-    *records_out += nrec;
-  }
-  if (pos != size) return Corrupt("trailing bytes after provenance");
-  return Status::Ok();
-}
-
-Status DecodeProvenanceAny(std::span<const char> d, SectionCodec codec,
-                           xkg::Xkg::ProvenanceMap* prov,
-                           size_t* records_out) {
-  if (codec == SectionCodec::kVarintDelta) {
-    return DecodeProvenanceVarint(d, prov, records_out);
-  }
-  Cursor c(d.data(), d.size());
-  return DecodeProvenanceRaw(&c, prov, records_out);
 }
 
 Status DecodeTerm(Cursor* c, query::Term* term) {
@@ -1117,59 +654,63 @@ Status DecodeRules(Cursor* c, relax::RuleSet* rules) {
   return Status::Ok();
 }
 
+/// Creates `<path>.tmp.<16 hex digits>` exclusively (fopen's "x": the
+/// open fails when the name exists), so concurrent writers to one path
+/// never share a temp file — with a shared name, a second writer's
+/// truncating open would clobber a file the first one is about to
+/// publish. Names mix the calling thread, the clock and the attempt
+/// number; a taken name (another writer's, or one a crashed writer left
+/// behind) moves on to the next. Returns null when no file can be
+/// created.
+std::FILE* CreateTempFile(const std::string& path, std::string* tmp_path) {
+  const uint64_t seed = HashCombine(
+      std::hash<std::thread::id>{}(std::this_thread::get_id()),
+      static_cast<uint64_t>(
+          std::chrono::steady_clock::now().time_since_epoch().count()));
+  for (uint64_t attempt = 0; attempt < 64; ++attempt) {
+    char suffix[32];
+    std::snprintf(suffix, sizeof(suffix), ".tmp.%016llx",
+                  static_cast<unsigned long long>(Mix64(seed + attempt)));
+    *tmp_path = path + suffix;
+    errno = 0;
+    if (std::FILE* f = std::fopen(tmp_path->c_str(), "wbx")) return f;
+    if (errno != EEXIST) return nullptr;
+  }
+  return nullptr;
+}
+
 }  // namespace
 
 // --------------------------------------------------------------- write
 
 Status SnapshotWriter::Write(const xkg::Xkg& xkg, const relax::RuleSet& rules,
-                             uint64_t generation, const std::string& path,
-                             const WriteOptions& options) {
-  if (options.codec != SectionCodec::kRaw &&
-      options.codec != SectionCodec::kVarintDelta) {
-    return Status::InvalidArgument(
-        "unknown section codec " +
-        std::to_string(static_cast<uint32_t>(options.codec)));
-  }
+                             uint64_t generation, const std::string& path) {
   // A trusted-mapped engine defers provenance decode; saving forces it
   // now and must not silently persist an empty map because that decode
   // failed.
   TRINIT_RETURN_IF_ERROR(xkg.provenance_status());
 
-  const bool varint = options.codec == SectionCodec::kVarintDelta;
-  const SectionCodec bulk = options.codec;
   const rdf::TripleStore& store = xkg.store();
   uint64_t prov_records = 0;
-  std::string prov = varint ? EncodeProvenanceVarint(xkg, &prov_records)
-                            : EncodeProvenanceRaw(xkg, &prov_records);
+  std::string prov = EncodeProvenance(xkg, &prov_records);
 
   // Index arrays are encoded straight from the store's own memory
   // (span views), so the transient cost of a save is one encoded copy
   // of the state, not an intermediate export on top of it.
   struct Section {
     uint32_t id;
-    SectionCodec codec;
     std::string payload;
   };
   std::vector<Section> sections;
   sections.reserve(kNumSections);
-  sections.push_back(
-      {kMeta, SectionCodec::kRaw, EncodeMeta(xkg, rules, prov_records)});
-  sections.push_back(
-      {kDictionary, SectionCodec::kRaw, EncodeDictionary(xkg.dict())});
-  sections.push_back(
-      {kTriples, bulk,
-       varint ? EncodeTriplesVarint(store) : EncodeTriples(store)});
-  sections.push_back({kPermutations, bulk,
-                      varint ? EncodePermutationsVarint(store)
-                             : EncodePermutationsRaw(store)});
-  sections.push_back({kScoreShapes, bulk,
-                      varint ? EncodeScoreShapesVarint(store)
-                             : EncodeScoreShapesRaw(store)});
-  sections.push_back({kGraphStats, bulk,
-                      varint ? EncodeGraphStatsVarint(xkg.stats())
-                             : EncodeGraphStatsRaw(xkg.stats())});
-  sections.push_back({kProvenance, bulk, std::move(prov)});
-  sections.push_back({kRules, SectionCodec::kRaw, EncodeRules(rules)});
+  sections.push_back({kMeta, EncodeMeta(xkg, rules, prov_records)});
+  sections.push_back({kDictionary, EncodeDictionary(xkg.dict())});
+  sections.push_back({kTriples, EncodeTriples(store)});
+  sections.push_back({kPermutations, EncodePermutations(store)});
+  sections.push_back({kScoreShapes, EncodeScoreShapes(store)});
+  sections.push_back({kGraphStats, EncodeGraphStats(xkg.stats())});
+  sections.push_back({kProvenance, std::move(prov)});
+  sections.push_back({kRules, EncodeRules(rules)});
 
   // Header + table, then 8-aligned payloads — streamed section by
   // section so peak memory stays one copy of the encoded state, not
@@ -1189,8 +730,7 @@ Status SnapshotWriter::Write(const xkg::Xkg& xkg, const relax::RuleSet& rules,
   for (const Section& sec : sections) {
     offset = (offset + 7) & ~size_t{7};
     PutU32(&head, sec.id);
-    // Flag word: low byte is the section codec, upper bits reserved.
-    PutU32(&head, static_cast<uint32_t>(sec.codec));
+    PutU32(&head, 0);  // flag word: no codec byte, no reserved bits
     PutU64(&head, offset);
     PutU64(&head, sec.payload.size());
     PutU64(&head, Fnv1a64(sec.payload));
@@ -1202,26 +742,28 @@ Status SnapshotWriter::Write(const xkg::Xkg& xkg, const relax::RuleSet& rules,
   // snapshot at `path` — replicas rely on "serialize once, load many
   // times". The rename also means a *mapped* reader of the old file
   // keeps its pages; the file is never truncated in place under a
-  // live mapping.
-  const std::string tmp_path = path + ".tmp";
-  {
-    std::ofstream out(tmp_path, std::ios::binary | std::ios::trunc);
-    if (!out) return Status::IoError("cannot open for write: " + tmp_path);
-    out.write(head.data(), static_cast<std::streamsize>(head.size()));
-    size_t written = head.size();
-    for (const Section& sec : sections) {
-      static constexpr char kPad[8] = {};
-      const size_t pad = ((written + 7) & ~size_t{7}) - written;
-      out.write(kPad, static_cast<std::streamsize>(pad));
-      out.write(sec.payload.data(),
-                static_cast<std::streamsize>(sec.payload.size()));
-      written += pad + sec.payload.size();
-    }
-    out.flush();
-    if (!out) {
-      std::remove(tmp_path.c_str());
-      return Status::IoError("write failed: " + tmp_path);
-    }
+  // live mapping. The temp file belongs to this call alone, so
+  // concurrent saves to one path each publish a whole file.
+  std::string tmp_path;
+  std::FILE* out = CreateTempFile(path, &tmp_path);
+  if (out == nullptr) {
+    return Status::IoError("cannot create a temp file for " + path);
+  }
+  bool ok = std::fwrite(head.data(), 1, head.size(), out) == head.size();
+  size_t written = head.size();
+  for (const Section& sec : sections) {
+    static constexpr char kPad[8] = {};
+    const size_t pad = ((written + 7) & ~size_t{7}) - written;
+    ok = ok && std::fwrite(kPad, 1, pad, out) == pad &&
+         std::fwrite(sec.payload.data(), 1, sec.payload.size(), out) ==
+             sec.payload.size();
+    written += pad + sec.payload.size();
+  }
+  // fclose flushes the buffered tail; a failure there fails the save.
+  ok = std::fclose(out) == 0 && ok;
+  if (!ok) {
+    std::remove(tmp_path.c_str());
+    return Status::IoError("write failed: " + tmp_path);
   }
   if (std::rename(tmp_path.c_str(), path.c_str()) != 0) {
     std::remove(tmp_path.c_str());
@@ -1305,7 +847,7 @@ Result<LoadedSnapshot> SnapshotReader::Read(const std::string& path,
     return Corrupt("truncated section table");
   }
 
-  // Section table: bounds and codec sanity before any payload access.
+  // Section table: bounds and flag sanity before any payload access.
   std::unordered_map<uint32_t, SectionRef> table;
   for (uint32_t i = 0; i < kNumSections; ++i) {
     uint32_t id = 0, flags = 0;
@@ -1320,16 +862,14 @@ Result<LoadedSnapshot> SnapshotReader::Read(const std::string& path,
                      " out of bounds (truncated file?)");
     }
     if (flags > 0xff) return Corrupt("reserved section flag bits set");
-    if (flags > static_cast<uint32_t>(SectionCodec::kVarintDelta)) {
+    // The low byte once named a per-section codec. This build reads
+    // only raw sections, so a codec byte marks a file from an older
+    // writer, not corruption.
+    if (flags != 0) {
       return Status::FailedPrecondition(
-          "section codec " + std::to_string(flags) +
-          " not supported by this build (re-save from source)");
-    }
-    s.codec = static_cast<SectionCodec>(flags);
-    if (s.codec != SectionCodec::kRaw &&
-        (id == kMeta || id == kDictionary || id == kRules)) {
-      return Corrupt("codec on an uncompressible section " +
-                     std::to_string(id));
+          "section " + std::to_string(id) + " has codec " +
+          std::to_string(flags) +
+          ", which this build does not read (re-save from source)");
     }
     if (!table.emplace(id, s).second) {
       return Corrupt("duplicate section " + std::to_string(id));
@@ -1344,13 +884,10 @@ Result<LoadedSnapshot> SnapshotReader::Read(const std::string& path,
     const SectionRef& s = table.at(id);
     return Cursor(file.data() + s.offset, static_cast<size_t>(s.length));
   };
-  auto span_for = [&](uint32_t id) {
-    return SectionSpan(file, table.at(id));
-  };
 
-  // Mode resolution. A mapped load views the raw sections in place.
-  // Trusted verification is only meaningful on the view path — every
-  // other combination keeps the full-verification guarantees.
+  // Mode resolution. A mapped load views the fixed-width sections in
+  // place. Trusted verification is only meaningful on the view path —
+  // every other combination keeps the full-verification guarantees.
   const bool trusted =
       mapped && options.verify == rdf::SnapshotValidation::kTrusted;
   const rdf::SnapshotValidation validation =
@@ -1362,50 +899,21 @@ Result<LoadedSnapshot> SnapshotReader::Read(const std::string& path,
   report.mapped = mapped;
   size_t touched = kHeaderBytes + kNumSections * kTableEntryBytes;
 
-  // Readahead hints (ReadOptions::prefetch): start paging in the
-  // sections this load will serve as views, overlapping disk I/O with
-  // the decode work below. Purely advisory — verification and the
-  // bytes_touched accounting are identical either way.
-  if (mapped && options.prefetch) {
-    auto advise = [&](uint32_t id) {
-      const SectionRef& s = table.at(id);
-      if (s.codec == SectionCodec::kRaw &&
-          mapping->AdviseWillNeed(static_cast<size_t>(s.offset),
-                                  static_cast<size_t>(s.length))) {
-        report.bytes_prefetched += static_cast<size_t>(s.length);
-      }
-    };
-    advise(kTriples);
-    advise(kPermutations);
-    advise(kScoreShapes);
-    advise(kGraphStats);
-  }
-
   // Checksum pass. Full verification checksums everything (mapped or
   // not — identical guarantees). Trusted checksums only what it will
-  // decode into memory anyway: META/DICT/RULES and varint sections.
-  // Viewed raw sections and the deferred PROV section are skipped —
-  // that is where the touched-bytes savings come from; PROV is
-  // checksummed at deferred-decode time instead.
+  // decode into memory anyway: META/DICT/RULES. The viewed sections
+  // and the deferred PROV section are skipped — that is where the
+  // touched-bytes savings come from; PROV is checksummed at
+  // deferred-decode time instead.
   for (const auto& [id, s] : table) {
-    if (s.codec == SectionCodec::kRaw) {
-      ++report.sections_raw;
-    } else {
-      ++report.sections_varint;
+    if (trusted && id != kMeta && id != kDictionary && id != kRules) {
+      continue;
     }
-    const bool deferred_prov = trusted && id == kProvenance;
-    const bool fully_read =
-        !trusted ||
-        (!deferred_prov &&
-         (id == kMeta || id == kDictionary || id == kRules ||
-          s.codec == SectionCodec::kVarintDelta));
-    if (fully_read) {
-      if (Fnv1a64({file.data() + s.offset,
-                   static_cast<size_t>(s.length)}) != s.checksum) {
-        return Corrupt("checksum mismatch in section " + std::to_string(id));
-      }
-      touched += static_cast<size_t>(s.length);
+    if (Fnv1a64({file.data() + s.offset, static_cast<size_t>(s.length)}) !=
+        s.checksum) {
+      return Corrupt("checksum mismatch in section " + std::to_string(id));
     }
+    touched += static_cast<size_t>(s.length);
   }
 
   // Meta cross-checks let a truncation that happens to preserve section
@@ -1427,92 +935,36 @@ Result<LoadedSnapshot> SnapshotReader::Read(const std::string& path,
   report.terms = dict->size();
   ++report.sections_decoded;  // DICT (hash index rebuilt by Intern)
 
+  // TRIPLES, PERMS, SCORE and STATS: views of the mapping, or owned
+  // copies.
   util::OwnedSpan<rdf::Triple> triples;
-  {
-    const SectionRef& s = table.at(kTriples);
-    if (s.codec == SectionCodec::kVarintDelta) {
-      std::vector<rdf::Triple> decoded;
-      TRINIT_RETURN_IF_ERROR(DecodeTriplesVarint(span_for(kTriples),
-                                                 &decoded));
-      triples = std::move(decoded);
-      ++report.sections_decoded;
-    } else {
-      TRINIT_RETURN_IF_ERROR(
-          LoadTriplesRaw(file, s, mapped, &triples, &touched));
-      if (mapped) {
-        ++report.sections_mapped;
-      } else {
-        ++report.sections_decoded;
-      }
-    }
-  }
+  TRINIT_RETURN_IF_ERROR(
+      LoadTriples(file, table.at(kTriples), mapped, &triples, &touched));
   if (triples.size() != triple_count) return Corrupt("triple count vs meta");
   report.triples = triples.size();
 
   rdf::TripleStore::IndexSnapshot indexes;
-  {
-    const SectionRef& s = table.at(kPermutations);
-    if (s.codec == SectionCodec::kVarintDelta) {
-      TRINIT_RETURN_IF_ERROR(
-          DecodePermutationsVarint(span_for(kPermutations), &indexes));
-      ++report.sections_decoded;
-    } else {
-      TRINIT_RETURN_IF_ERROR(
-          LoadPermutationsRaw(file, s, mapped, &indexes, &touched));
-      if (mapped) {
-        ++report.sections_mapped;
-      } else {
-        ++report.sections_decoded;
-      }
-    }
-  }
-  {
-    const SectionRef& s = table.at(kScoreShapes);
-    if (s.codec == SectionCodec::kVarintDelta) {
-      TRINIT_RETURN_IF_ERROR(
-          DecodeScoreShapesVarint(span_for(kScoreShapes), &indexes));
-      ++report.sections_decoded;
-    } else {
-      TRINIT_RETURN_IF_ERROR(
-          LoadScoreShapesRaw(file, s, mapped, &indexes, &touched));
-      if (mapped) {
-        ++report.sections_mapped;
-      } else {
-        ++report.sections_decoded;
-      }
-    }
-  }
+  TRINIT_RETURN_IF_ERROR(LoadPermutations(file, table.at(kPermutations),
+                                          mapped, &indexes, &touched));
+  TRINIT_RETURN_IF_ERROR(LoadScoreShapes(file, table.at(kScoreShapes), mapped,
+                                         &indexes, &touched));
   report.permutations_restored = indexes.perms.size();
   report.score_shapes_restored = indexes.score_shapes.size();
 
   Result<rdf::GraphStats> stats = Status::Internal("unset");
-  {
-    const SectionRef& s = table.at(kGraphStats);
-    if (s.codec == SectionCodec::kVarintDelta) {
-      TRINIT_RETURN_IF_ERROR(DecodeGraphStatsVarint(span_for(kGraphStats),
-                                                    validation, &stats));
-      ++report.sections_decoded;
-    } else {
-      TRINIT_RETURN_IF_ERROR(LoadGraphStatsRaw(file, s, mapped, validation,
-                                               &stats, &touched));
-      if (mapped) {
-        ++report.sections_mapped;
-      } else {
-        ++report.sections_decoded;
-      }
-    }
-  }
+  TRINIT_RETURN_IF_ERROR(LoadGraphStats(file, table.at(kGraphStats), mapped,
+                                        validation, &stats, &touched));
+  (mapped ? report.sections_mapped : report.sections_decoded) += 4;
 
   xkg::Xkg::ProvenanceMap provenance;
-  const bool defer_provenance = trusted;
-  if (defer_provenance) {
+  if (trusted) {
     report.provenance_records = prov_records_meta;
     report.provenance_deferred = true;
     ++report.sections_mapped;
   } else {
-    TRINIT_RETURN_IF_ERROR(DecodeProvenanceAny(
-        span_for(kProvenance), table.at(kProvenance).codec, &provenance,
-        &report.provenance_records));
+    Cursor prov_cursor = cursor_for(kProvenance);
+    TRINIT_RETURN_IF_ERROR(DecodeProvenance(&prov_cursor, &provenance,
+                                            &report.provenance_records));
     if (report.provenance_records != prov_records_meta) {
       return Corrupt("provenance record count vs meta");
     }
@@ -1539,7 +991,7 @@ Result<LoadedSnapshot> SnapshotReader::Read(const std::string& path,
       static_cast<size_t>(table.at(kRules).length);
 
   Result<xkg::Xkg> loaded = Status::Internal("unset");
-  if (defer_provenance) {
+  if (trusted) {
     const SectionRef prov_ref = table.at(kProvenance);
     std::shared_ptr<MappedFile> keepalive = mapping;
     loaded = xkg::Xkg::FromPartsLazyProvenance(
@@ -1555,8 +1007,8 @@ Result<LoadedSnapshot> SnapshotReader::Read(const std::string& path,
           }
           xkg::Xkg::ProvenanceMap map;
           size_t records = 0;
-          TRINIT_RETURN_IF_ERROR(
-              DecodeProvenanceAny(data, prov_ref.codec, &map, &records));
+          Cursor c(data.data(), data.size());
+          TRINIT_RETURN_IF_ERROR(DecodeProvenance(&c, &map, &records));
           return map;
         });
   } else {

@@ -21,13 +21,12 @@ namespace trinit::storage {
 ///
 ///   header    magic "TRNTSNAP", format version, endianness tag, the
 ///             XKG generation at save time, section count
-///   table     one entry per section: id, flags (low byte = section
-///             codec), byte offset, byte length, FNV-1a 64 checksum of
+///   table     one entry per section: id, flags (must be 0; see
+///             below), byte offset, byte length, FNV-1a 64 checksum of
 ///             the payload
-///   sections  8-byte-aligned little-endian payloads:
-///             META, DICT, TRIPLES, PERMS, SCORE, STATS, PROV, RULES
-///
-/// Two orthogonal axes extend the plain "write raw, read a copy" story:
+///   sections  8-byte-aligned little-endian payloads of fixed-width
+///             records: META, DICT, TRIPLES, PERMS, SCORE, STATS,
+///             PROV, RULES
 ///
 /// *Load mode* (`ReadOptions::mode`). `LoadMode::kCopy` reads the file
 /// into memory and decodes every section into owning structures.
@@ -41,19 +40,13 @@ namespace trinit::storage {
 /// so views cannot outlive their pages, and the first `ExtendKg`
 /// rebuild copies into owned vectors (copy-on-write; see
 /// docs/CONCURRENCY.md, "Mapping lifetime"). Mapped mode falls back to
-/// the copying path when mmap is unavailable, and to decoding when a
-/// section is codec-compressed.
+/// the copying path when mmap is unavailable.
 ///
-/// *Section codec* (`WriteOptions::codec`, recorded per section in the
-/// table's flag byte). `SectionCodec::kRaw` stores fixed-width records
-/// that mapped mode can view in place. `SectionCodec::kVarintDelta`
-/// applies the
-/// classic inverted-index compression — LEB128 varints over deltas of
-/// the sorted arrays, zigzag for signed residuals, and a front-coded
-/// sorted sentence table for provenance text — to the five bulk
-/// sections (TRIPLES, PERMS, SCORE, STATS, PROV). Encoded sections are
-/// always decoded into owned memory on load (codec-on trades mapped
-/// zero-copy for a >=2x smaller file; pick per deployment).
+/// *Section flags.* Every section has one encoding, the raw records
+/// above, and the writer writes a flag word of 0. The word's low byte
+/// once named a per-section codec, so a nonzero low byte fails with
+/// FailedPrecondition ("re-save from source"); a set reserved upper
+/// bit is corruption.
 ///
 /// Verification (`ReadOptions::verify`). `kFull` (default) checksums
 /// every section and re-validates every decoded invariant in O(n) —
@@ -78,8 +71,7 @@ namespace trinit::storage {
 ///   kInvalidArgument    not a TriniT snapshot (bad magic/endianness),
 ///                       or a decoded structure violates an invariant
 ///   kFailedPrecondition snapshot written by a different format
-///                       version, or carries a codec this build does
-///                       not know
+///                       version, or with a nonzero section codec byte
 ///   kParseError         corrupt bytes: truncation, out-of-bounds
 ///                       section, checksum mismatch, malformed payload
 ///
@@ -97,20 +89,6 @@ inline constexpr uint32_t kSnapshotVersion = 4;
 inline constexpr char kSnapshotMagic[8] = {'T', 'R', 'N', 'T',
                                            'S', 'N', 'A', 'P'};
 
-/// Per-section compression codec, recorded in the section table's flag
-/// byte. Values are wire format — do not renumber.
-enum class SectionCodec : uint8_t {
-  kRaw = 0,          ///< fixed-width little-endian records
-  kVarintDelta = 1,  ///< LEB128 varint + delta/zigzag (+ front-coded
-                     ///< sentence table in PROV)
-};
-
-struct WriteOptions {
-  /// Codec for the five bulk sections (TRIPLES, PERMS, SCORE, STATS,
-  /// PROV); META/DICT/RULES are always raw.
-  SectionCodec codec = SectionCodec::kRaw;
-};
-
 enum class LoadMode : uint8_t {
   kCopy = 0,    ///< read + decode everything into owned memory
   kMapped = 1,  ///< mmap; view fixed-width sections zero-copy
@@ -121,28 +99,19 @@ struct ReadOptions {
   /// kTrusted only changes behavior in mapped mode; the copying path
   /// always fully verifies.
   rdf::SnapshotValidation verify = rdf::SnapshotValidation::kFull;
-  /// Mapped mode only: hint the kernel (posix_madvise WILLNEED) to
-  /// start readahead on the viewed bulk sections, so first-query page
-  /// faults overlap with the open instead of serializing behind it.
-  /// Purely advisory — answers, verification, and `bytes_touched`
-  /// accounting are identical either way; `bytes_prefetched` reports
-  /// how much was hinted. No effect on the copying path (which reads
-  /// everything anyway).
-  bool prefetch = false;
 };
 
 class SnapshotWriter {
  public:
   /// Writes `xkg` + `rules` (and the serving `generation`) to `path`,
   /// overwriting. The XKG is not mutated; lazily-built index shapes are
-  /// persisted exactly as currently materialized.
+  /// persisted exactly as currently materialized. Each call writes its
+  /// own exclusively created temp file next to `path` and renames it
+  /// into place, so concurrent writers to one path never interleave
+  /// bytes: the last rename wins and every rename publishes a whole
+  /// file.
   static Status Write(const xkg::Xkg& xkg, const relax::RuleSet& rules,
-                      uint64_t generation, const std::string& path,
-                      const WriteOptions& options);
-  static Status Write(const xkg::Xkg& xkg, const relax::RuleSet& rules,
-                      uint64_t generation, const std::string& path) {
-    return Write(xkg, rules, generation, path, WriteOptions{});
-  }
+                      uint64_t generation, const std::string& path);
 };
 
 /// What a snapshot load actually did — the cold-start work counters
@@ -176,11 +145,6 @@ struct LoadReport {
   size_t resident_bytes = 0;
   size_t sections_mapped = 0;   ///< sections served as views (+ deferred)
   size_t sections_decoded = 0;  ///< sections materialized into memory
-  size_t sections_raw = 0;      ///< table codec bytes: SectionCodec::kRaw
-  size_t sections_varint = 0;   ///< table codec bytes: kVarintDelta
-  /// Bytes covered by madvise(WILLNEED) readahead hints
-  /// (`ReadOptions::prefetch` on a mapped load); 0 otherwise.
-  size_t bytes_prefetched = 0;
 };
 
 /// A successfully loaded snapshot: the serving state plus the XKG

@@ -128,8 +128,7 @@ uint32_t World::SampleEntity(EntityClass c, Rng& rng) const {
   TRINIT_CHECK(!pool.empty());
   // Popularity-weighted: entities are stored popularity-descending per
   // class, so a Zipf rank draw suffices.
-  Rng::ZipfTable table(pool.size(), spec.popularity_skew);
-  return pool[table.Sample(rng)];
+  return pool[zipf_by_class_[static_cast<size_t>(c)].Sample(rng)];
 }
 
 std::vector<const Fact*> World::FactsOf(
@@ -189,13 +188,18 @@ World KgGenerator::Generate(const WorldSpec& spec_in) {
     add_entity(MakePerson(i, rng));
   }
 
-  // Popularity: rank within class, descending.
+  // Popularity: rank within class, descending. The pools are final
+  // here, so each class's Zipf table is built once and every
+  // SampleEntity draw below is one binary search instead of O(pool)
+  // `pow` calls. Building a table draws no random numbers, so the RNG
+  // sequence does not depend on when tables are built.
   for (auto& pool : world.by_class_) {
     for (size_t rank = 0; rank < pool.size(); ++rank) {
       world.entities[pool[rank]].popularity =
           1.0 / std::pow(static_cast<double>(rank + 1),
                          spec.popularity_skew);
     }
+    world.zipf_by_class_.emplace_back(pool.size(), spec.popularity_skew);
   }
 
   // Facts per predicate spec.

@@ -74,6 +74,8 @@ class World {
  private:
   friend class KgGenerator;
   std::vector<std::vector<uint32_t>> by_class_;
+  /// Popularity (Zipf rank) table per class, built with the pools.
+  std::vector<Rng::ZipfTable> zipf_by_class_;
   std::unordered_map<uint32_t, uint32_t> city_country_;
 };
 

@@ -65,13 +65,30 @@ TEST(ObservabilityTest, TracedRequestCarriesSpanTree) {
   EXPECT_EQ(root.children[2].name, "process");
   EXPECT_GE(root.children[2].start_ms, root.children[1].start_ms);
 
-  // The root's counters are exactly the flat trace counters (the span
-  // is the structured superset of `counters`, never a divergent copy).
-  ASSERT_EQ(root.counters.size(), response->counters.size());
-  for (size_t i = 0; i < root.counters.size(); ++i) {
-    EXPECT_EQ(root.counters[i].first, response->counters[i].name);
-    EXPECT_EQ(root.counters[i].second, response->counters[i].value);
-  }
+  // The children tile the request in order: each stage starts where
+  // the previous one ended.
+  EXPECT_DOUBLE_EQ(root.children[1].start_ms, root.children[0].duration_ms);
+  EXPECT_DOUBLE_EQ(root.children[2].start_ms,
+                   root.children[1].start_ms + root.children[1].duration_ms);
+
+  // The root carries the request's own work and serving state: the
+  // run's counters first, then the serving_* counters.
+  auto counter = [&root](const std::string& name) {
+    for (const auto& [key, value] : root.counters) {
+      if (key == name) return value;
+    }
+    ADD_FAILURE() << "no counter " << name;
+    return -1.0;
+  };
+  EXPECT_EQ(root.counters.front().first, "query_variants_total");
+  EXPECT_EQ(counter("items_pulled"),
+            static_cast<double>(response->stats.items_pulled));
+  EXPECT_EQ(counter("items_decoded"),
+            static_cast<double>(response->stats.items_decoded));
+  EXPECT_EQ(counter("serving_answer_hit"), 0.0);
+  EXPECT_EQ(counter("serving_generation"),
+            static_cast<double>(response->serving.generation));
+  EXPECT_EQ(root.counters.back().first, "serving_plan_invalidated");
 
   // trace_json: valid-looking JSON with the schema's keys.
   const std::string json = response->trace_json();
@@ -235,11 +252,11 @@ TEST(ObservabilityTest, ObservationConsistentAcrossEngineOrigins) {
       ASSERT_TRUE(response.ok()) << q;
       ++requests;
       expected_pulled += response->stats.items_pulled;
-      std::vector<std::string> keys;
-      for (const auto& counter : response->counters) {
-        keys.push_back(counter.name);
-      }
       ASSERT_TRUE(response->span.has_value());
+      std::vector<std::string> keys;
+      for (const auto& [key, value] : response->span->counters) {
+        keys.push_back(key);
+      }
       if (reference_keys.empty()) {
         reference_keys = keys;
       } else {

@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "baselines/exact_engine.h"
 #include "baselines/keyword_engine.h"
 #include "core/engine.h"
@@ -176,17 +179,19 @@ TEST(RequestTest, TraceCollectsStages) {
   request.trace = true;
   auto response = engine->Execute(request);
   ASSERT_TRUE(response.ok());
-  ASSERT_EQ(response->stages.size(), 3u);
-  EXPECT_EQ(response->stages[0].stage, "parse");
-  EXPECT_EQ(response->stages[1].stage, "cache");
-  EXPECT_EQ(response->stages[2].stage, "process");
+  ASSERT_TRUE(response->span.has_value());
+  const std::vector<obs::TraceSpan>& stages = response->span->children;
+  ASSERT_EQ(stages.size(), 3u);
+  EXPECT_EQ(stages[0].name, "parse");
+  EXPECT_EQ(stages[1].name, "cache");
+  EXPECT_EQ(stages[2].name, "process");
   EXPECT_GT(response->wall_ms, 0.0);
 
-  // No trace -> no stages.
+  // No trace -> no span.
   auto quiet =
       engine->Execute(QueryRequest::Text("AlbertEinstein bornIn ?x", 5));
   ASSERT_TRUE(quiet.ok());
-  EXPECT_TRUE(quiet->stages.empty());
+  EXPECT_FALSE(quiet->span.has_value());
 }
 
 TEST(RequestTest, ParseErrorsPropagateThroughExecute) {
@@ -242,6 +247,48 @@ TEST(RequestTest, BaselinesServeRequestsThroughEngineInterface) {
               "Ulm")
         << engine->name();
     EXPECT_FALSE(engine->name().empty());
+  }
+}
+
+TEST(RequestTest, BaselinesTraceTheEngineSpan) {
+  xkg::Xkg xkg = testing::BuildPaperXkg();
+  baselines::ExactEngine exact(xkg, {});
+  baselines::KeywordEngine keyword(xkg, {});
+  auto trinit = Trinit::Open(testing::BuildPaperXkg());
+  ASSERT_TRUE(trinit.ok());
+
+  QueryRequest request = QueryRequest::Text("AlbertEinstein bornIn ?x", 5);
+  request.trace = true;
+  auto counter_keys = [](const obs::TraceSpan& span) {
+    std::vector<std::string> keys;
+    for (const auto& [key, value] : span.counters) keys.push_back(key);
+    return keys;
+  };
+  auto reference = trinit->Execute(request);
+  ASSERT_TRUE(reference.ok());
+  ASSERT_TRUE(reference->span.has_value());
+
+  const Engine* baselines[] = {&exact, &keyword};
+  for (const Engine* engine : baselines) {
+    auto response = engine->Execute(request);
+    ASSERT_TRUE(response.ok()) << engine->name();
+    ASSERT_TRUE(response->span.has_value()) << engine->name();
+    const obs::TraceSpan& root = *response->span;
+    EXPECT_EQ(root.name, "execute");
+    EXPECT_DOUBLE_EQ(root.duration_ms, response->wall_ms);
+    // The engine's counter vocabulary; no serving cache, so no cache
+    // stage between parse and process.
+    EXPECT_EQ(counter_keys(root), counter_keys(*reference->span))
+        << engine->name();
+    ASSERT_EQ(root.children.size(), 2u) << engine->name();
+    EXPECT_EQ(root.children[0].name, "parse");
+    EXPECT_EQ(root.children[1].name, "process");
+    EXPECT_DOUBLE_EQ(root.children[1].start_ms,
+                     root.children[0].duration_ms);
+
+    auto quiet = engine->Execute(QueryRequest::Text(request.text, 5));
+    ASSERT_TRUE(quiet.ok());
+    EXPECT_FALSE(quiet->span.has_value()) << engine->name();
   }
 }
 

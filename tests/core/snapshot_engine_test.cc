@@ -149,43 +149,27 @@ TEST(SnapshotEngineTest, PropertySnapshotEqualsTsvBuiltAcrossWorlds) {
       expected.push_back(RunOnce(*tsv_engine, q));
     }
 
-    // Snapshot cold-start paths: save the TSV-built engine once per
-    // codec, open each file through every load mode / verification
-    // combination — answers AND pull/probe/decode work counters must be
-    // byte-identical to the TSV build in all of them.
+    // Snapshot cold-start paths: save the TSV-built engine once, open
+    // the file through every load mode / verification combination —
+    // answers AND pull/probe/decode work counters must be byte-identical
+    // to the TSV build in all of them.
+    const std::string snap =
+        TempPath("world_" + std::to_string(seed) + ".trinit");
+    ASSERT_TRUE(tsv_engine->Save(snap).ok());
     struct Combo {
       const char* label;
-      storage::SectionCodec codec;
       storage::LoadMode mode;
       rdf::SnapshotValidation verify;
     };
     const Combo combos[] = {
-        {"raw/copy", storage::SectionCodec::kRaw, storage::LoadMode::kCopy,
-         rdf::SnapshotValidation::kFull},
-        {"raw/mmap", storage::SectionCodec::kRaw, storage::LoadMode::kMapped,
-         rdf::SnapshotValidation::kFull},
-        {"raw/mmap-trusted", storage::SectionCodec::kRaw,
-         storage::LoadMode::kMapped, rdf::SnapshotValidation::kTrusted},
-        {"varint/copy", storage::SectionCodec::kVarintDelta,
-         storage::LoadMode::kCopy, rdf::SnapshotValidation::kFull},
-        {"varint/mmap", storage::SectionCodec::kVarintDelta,
-         storage::LoadMode::kMapped, rdf::SnapshotValidation::kFull},
-        {"varint/mmap-trusted", storage::SectionCodec::kVarintDelta,
-         storage::LoadMode::kMapped, rdf::SnapshotValidation::kTrusted},
+        {"copy", storage::LoadMode::kCopy, rdf::SnapshotValidation::kFull},
+        {"mmap", storage::LoadMode::kMapped, rdf::SnapshotValidation::kFull},
+        {"mmap-trusted", storage::LoadMode::kMapped,
+         rdf::SnapshotValidation::kTrusted},
     };
     for (const Combo& combo : combos) {
       SCOPED_TRACE(std::string("seed ") + std::to_string(seed) + " " +
                    combo.label);
-      const std::string snap =
-          TempPath("world_" + std::to_string(seed) + "_" +
-                   (combo.codec == storage::SectionCodec::kRaw ? "raw"
-                                                               : "varint") +
-                   ".trinit");
-      ASSERT_TRUE(storage::SnapshotWriter::Write(
-                      tsv_engine->xkg(), tsv_engine->rules(),
-                      tsv_engine->serving_cache().generation(), snap,
-                      {combo.codec})
-                      .ok());
       TrinitOptions options;
       options.snapshot_read = {combo.mode, combo.verify};
       storage::LoadReport report;
@@ -248,30 +232,6 @@ TEST(SnapshotEngineTest, MutationsKeepWorkingAfterLoad) {
   auto after = loaded->Query("?x bornIn Ulm", 5);
   ASSERT_TRUE(after.ok());
   EXPECT_GT(after->answers.size(), before->answers.size());
-}
-
-TEST(SnapshotEngineTest, PrefetchHintsReportMappedBytes) {
-  auto source = Trinit::Open(testing::BuildPaperXkg());
-  ASSERT_TRUE(source.ok());
-  ASSERT_TRUE(source->AddManualRules(testing::kPaperRulesText).ok());
-  (void)RunOnce(*source, "?x bornIn Germany");
-  const std::string path = TempPath("engine_prefetch.trinit");
-  ASSERT_TRUE(source->Save(path).ok());
-
-  TrinitOptions options;
-  options.snapshot_read.mode = storage::LoadMode::kMapped;
-  options.snapshot_read.prefetch = true;
-  storage::LoadReport report;
-  auto mapped = Trinit::Open(path, options, &report);
-  ASSERT_TRUE(mapped.ok()) << mapped.status();
-  EXPECT_GT(report.bytes_prefetched, 0u);
-
-  // The copy path never issues hints, prefetch requested or not.
-  options.snapshot_read.mode = storage::LoadMode::kCopy;
-  storage::LoadReport copy_report;
-  auto copied = Trinit::Open(path, options, &copy_report);
-  ASSERT_TRUE(copied.ok()) << copied.status();
-  EXPECT_EQ(copy_report.bytes_prefetched, 0u);
 }
 
 TEST(SnapshotEngineTest, OpenPathErrorsAreTyped) {

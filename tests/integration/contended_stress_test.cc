@@ -7,7 +7,8 @@
 //     (pre-PR-6 this was a genuine data race: the XKG pointee was
 //     rebuilt under live readers; the engine-state reader-writer lock
 //     now serializes mutators against the query herd),
-//   * concurrent Save during serving and during mutation,
+//   * concurrent Save during serving and during mutation, and
+//     concurrent Saves to one path beside an opener of that path,
 //   * concurrent first touch of lazy score-ordered shapes,
 //   * answer-cache store/lookup/evict races under a capacity small
 //     enough to evict constantly,
@@ -166,13 +167,21 @@ TEST(ContendedStressTest, ConcurrentMutatorsAllLand) {
 
 // Snapshot save racing the query herd AND a mutator: every save must
 // capture a coherent engine (reopenable, answers a probe) — never a
-// torn mid-rebuild state.
+// torn mid-rebuild state. Two more savers share one path with an
+// opener reading it back: each save writes its own temp file, so every
+// save succeeds and every open of the shared path loads a whole file.
 TEST(ContendedStressTest, ConcurrentSaveDuringServingAndMutation) {
   auto engine = BuildEngine();
   ASSERT_TRUE(engine.ok()) << engine.status();
 
   constexpr int kSaves = 4;
+  constexpr int kSharedSaves = 50;
+  const std::string shared_path = TempPath("contended_save_shared.trntsnap");
   std::atomic<int> failures{0};
+  std::atomic<int> shared_save_failures{0};
+  std::atomic<int> shared_open_failures{0};
+  std::atomic<int> shared_savers_running{2};
+  std::atomic<bool> shared_saved{false};
   std::atomic<bool> stop{false};
 
   std::thread saver([&] {
@@ -193,6 +202,31 @@ TEST(ContendedStressTest, ConcurrentSaveDuringServingAndMutation) {
       if (!probe.ok() || probe->result().answers.empty()) {
         failures.fetch_add(1);
       }
+    }
+  });
+  auto shared_saver = [&] {
+    for (int i = 0; i < kSharedSaves; ++i) {
+      if (engine->Save(shared_path).ok()) {
+        shared_saved.store(true);
+      } else {
+        shared_save_failures.fetch_add(1);
+      }
+    }
+    shared_savers_running.fetch_sub(1);
+  };
+  std::thread shared_saver_a(shared_saver);
+  std::thread shared_saver_b(shared_saver);
+  // Opens the shared path from the first completed save until both
+  // savers are done; a rename always publishes a whole file, so no
+  // open may ever see a torn one.
+  std::thread opener([&] {
+    for (bool last = false; !last;) {
+      last = shared_savers_running.load() == 0;
+      if (!shared_saved.load()) {
+        std::this_thread::yield();
+        continue;
+      }
+      if (!Trinit::Open(shared_path).ok()) shared_open_failures.fetch_add(1);
     }
   });
   std::thread mutator([&] {
@@ -218,9 +252,15 @@ TEST(ContendedStressTest, ConcurrentSaveDuringServingAndMutation) {
     });
   }
   saver.join();
+  shared_saver_a.join();
+  shared_saver_b.join();
+  opener.join();
   mutator.join();
   for (std::thread& th : herd) th.join();
   EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(shared_save_failures.load(), 0);
+  EXPECT_EQ(shared_open_failures.load(), 0);
+  EXPECT_TRUE(shared_saved.load());
 }
 
 // Concurrent first touch of the lazy score-ordered shape permutations:

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <set>
+#include <string>
+
+#include "util/hash.h"
 
 namespace trinit::synth {
 namespace {
@@ -151,6 +155,46 @@ TEST(WorldSpecTest, DefaultPredicatesCoverPaperPhenomena) {
   EXPECT_TRUE(has_inverse);        // user B
   EXPECT_TRUE(has_coarse);         // user A
   EXPECT_TRUE(has_heavy_holdout);  // users C, D
+}
+
+/// FNV-1a over the generated world: every entity's name, class and
+/// aliases, then every fact with all its KG flags.
+uint64_t WorldHash(const World& world) {
+  std::string bytes;
+  for (const Entity& e : world.entities) {
+    bytes += e.name;
+    bytes += '|';
+    bytes += std::to_string(static_cast<int>(e.cls));
+    for (const std::string& alias : e.aliases) {
+      bytes += '|';
+      bytes += alias;
+    }
+    bytes += '\n';
+  }
+  for (const Fact& f : world.facts) {
+    bytes += std::to_string(f.subject) + ' ' + std::to_string(f.predicate) +
+             ' ' + std::to_string(f.object) + ' ' +
+             std::to_string(f.in_kg) + std::to_string(f.coarse_in_kg) +
+             std::to_string(f.coarse_both_in_kg) +
+             std::to_string(f.inverse_in_kg) + std::to_string(f.both_in_kg) +
+             '\n';
+  }
+  return Fnv1a64(bytes);
+}
+
+// Pins the generated worlds at two scales. Generation speed-ups (such
+// as drawing entities from one Zipf table per class) must keep the RNG
+// sequence, hence the world, exactly as it was.
+TEST(KgGeneratorTest, ScaledWorldsArePinned) {
+  const World small = KgGenerator::Generate(WorldSpec::Scaled(10000, 2016));
+  EXPECT_EQ(small.entities.size(), 1098u);
+  EXPECT_EQ(small.facts.size(), 3212u);
+  EXPECT_EQ(WorldHash(small), 0xfa10d479c4cd80bfULL);
+
+  const World large = KgGenerator::Generate(WorldSpec::Scaled(100000, 2016));
+  EXPECT_EQ(large.entities.size(), 11010u);
+  EXPECT_EQ(large.facts.size(), 32041u);
+  EXPECT_EQ(WorldHash(large), 0xc7bf07f4b78f016eULL);
 }
 
 }  // namespace
