@@ -430,9 +430,9 @@ TEST(SnapshotTest, UnknownCodecByteIsFailedPrecondition) {
   ASSERT_TRUE(SnapshotWriter::Write(f.xkg, f.rules, 0, path).ok());
   const std::string pristine = Slurp(path);
   // Every section is raw. A nonzero codec byte — 1 on the five bulk
-  // sections is how older writers marked their varint codec, and META
-  // never carried one — means "written by another build": the upgrade
-  // error, in every load mode, before any section is decoded.
+  // sections is how older writers marked their varint codec — means
+  // "written by another build": the upgrade error, in every load mode,
+  // before any section is decoded.
   struct Case {
     std::vector<uint32_t> sections;
     uint32_t codec;
@@ -442,7 +442,6 @@ TEST(SnapshotTest, UnknownCodecByteIsFailedPrecondition) {
         kProvenanceId},
        1},
       {{kTriplesId}, 2},
-      {{kMetaId}, 1},
       {{kRulesId}, 0xff},
   };
   for (const Case& c : cases) {
@@ -459,6 +458,24 @@ TEST(SnapshotTest, UnknownCodecByteIsFailedPrecondition) {
                 std::string::npos)
           << r.status();
     }
+  }
+}
+
+TEST(SnapshotTest, CodecOnUncompressibleSectionIsRejected) {
+  Fixture f;
+  const std::string path = TempPath("codec_on_meta.trinit");
+  ASSERT_TRUE(SnapshotWriter::Write(f.xkg, f.rules, 0, path).ok());
+  std::string bytes = Slurp(path);
+  SetSectionFlags(&bytes, kMetaId, 1);  // no writer ever encoded META
+  Spit(path, bytes);
+  for (const ReadOptions& options : {kCopyRead, kMappedRead, kTrustedRead}) {
+    auto r = SnapshotReader::Read(path, options);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kFailedPrecondition)
+        << r.status();
+    EXPECT_NE(r.status().message().find("re-save from source"),
+              std::string::npos)
+        << r.status();
   }
 }
 
