@@ -25,19 +25,21 @@
 //   * plan-cache hit rate on the repeated-structure mix (planonly
 //     engine, all passes) >= 90%.
 //
-// PR 10 adds two observability exhibits: the hot-path cost of the
-// always-on metrics registry (the same mix on two plan-cache-only
+// Two observability exhibits, both gated here: the hot-path cost of
+// the always-on metrics registry (the same mix on two plan-cache-only
 // engines, `obs.metrics` on vs off, min-of-reps; reported as
-// `metrics_overhead_pct` and gated < 3% by bench/check_regression.py)
-// and the slow-query log's ring invariant (a tiny threshold makes
-// every request "slow"; after `requests > capacity` the ring must hold
-// exactly the newest `capacity` records in order — gated here).
+// `metrics_overhead_pct`, must stay < 3%) and the slow-query log's ring
+// invariant (a tiny threshold makes every request "slow"; after
+// `requests > capacity` the ring must hold exactly the newest
+// `capacity` records in order).
 //
 //   ./build/bench/bench_p3_serving [--counters-only] [out.json]
 //                                  (default: JSON to stdout)
 //
-// --counters-only omits machine-local wall-times from the JSON so
-// cross-machine comparisons see only deterministic work counters.
+// --counters-only omits machine-local wall-times from the JSON —
+// `metrics_overhead_pct` included — so the file holds only
+// deterministic work counters and a rerun on an unchanged tree
+// rewrites it byte for byte.
 
 #include <algorithm>
 #include <cmath>
@@ -330,22 +332,23 @@ int main(int argc, char** argv) {
     }
     std::fprintf(json, "    ]}%s\n", e + 1 < kNumEngines ? "," : "");
   }
-  // metrics_overhead_pct is wall-derived but survives --counters-only:
-  // as a same-machine same-binary ratio it is what the regression gate
-  // checks, not an absolute latency.
   std::fprintf(json,
                "  ],\n  \"totals\": {\"planonly_plan_hit_rate\": %.4f, "
                "\"answer_cache_entries\": %zu, "
                "\"answer_cache_evictions\": %zu, "
                "\"warm_all_answer_hits\": %s, "
-               "\"warm_zero_pulls\": %s, \"answers_match\": %s, "
-               "\"metrics_overhead_pct\": %.2f, "
-               "\"slowlog_capacity\": %zu, "
-               "\"slowlog_capacity_ok\": %s}\n}\n",
+               "\"warm_zero_pulls\": %s, \"answers_match\": %s, ",
                planonly_rate, sc.answer_entries, sc.answer_evictions,
                warm_all_hits ? "true" : "false",
                warm_zero_pulls ? "true" : "false",
-               answers_match ? "true" : "false", metrics_overhead_pct,
+               answers_match ? "true" : "false");
+  if (!args.counters_only) {
+    std::fprintf(json, "\"metrics_overhead_pct\": %.2f, ",
+                 metrics_overhead_pct);
+  }
+  std::fprintf(json,
+               "\"slowlog_capacity\": %zu, "
+               "\"slowlog_capacity_ok\": %s}\n}\n",
                kSlowLogCapacity, slowlog_capacity_ok ? "true" : "false");
   args.CloseJson(json);
 
@@ -364,6 +367,15 @@ int main(int argc, char** argv) {
                  "P3 REGRESSION: plan-cache hit rate %.3f < 0.90 on the "
                  "repeated-structure mix\n",
                  planonly_rate);
+    return 1;
+  }
+  // A same-machine, same-binary ratio of min-of-reps wall times: the
+  // docs/OBSERVABILITY.md contract for the always-on registry.
+  if (metrics_overhead_pct >= 3.0) {
+    std::fprintf(stderr,
+                 "P3 REGRESSION: the metrics registry costs the hot path "
+                 "%.2f%% (>= 3%% contract)\n",
+                 metrics_overhead_pct);
     return 1;
   }
   if (!slowlog_capacity_ok || !overhead_requests_ok) {

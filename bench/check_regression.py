@@ -72,15 +72,10 @@ def check_invariants(fresh_path):
             print(f"[bench-gate] {name}: FAIL — trusted mmap open "
                   f"touched {touched} of {raw} file bytes (>= 10%)")
             ok = False
-    # P3 observability (PR 10): the always-on metrics registry must
-    # cost the hot path less than 3% (min-of-reps, registry on vs
-    # `obs.metrics = false` — the docs/OBSERVABILITY.md contract), and
-    # the slow-query log must honor its bounded-ring capacity.
-    overhead = totals.get("metrics_overhead_pct")
-    if isinstance(overhead, (int, float)) and overhead >= 3.0:
-        print(f"[bench-gate] {name}: FAIL — metrics registry costs the "
-              f"hot path {overhead:.2f}% (>= 3% contract)")
-        ok = False
+    # P3 observability: the slow-query log must honor its
+    # bounded-ring capacity. (The registry's < 3% wall-time overhead is
+    # a timing, not a counter: bench_p3_serving enforces it by its own
+    # exit code and leaves it out of --counters-only files.)
     if totals.get("slowlog_capacity_ok") is False:
         print(f"[bench-gate] {name}: FAIL — slow-query log broke its "
               f"bounded-ring capacity contract")

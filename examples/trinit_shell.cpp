@@ -61,7 +61,7 @@ void PrintCache(const Trinit& engine) {
       "serving cache: generation %llu\n"
       "  answers: %zu hits / %zu misses, %zu entries, %zu evictions\n"
       "  plans:   %zu hits / %zu misses, %zu entries, %zu invalidated\n",
-      static_cast<unsigned long long>(c.generation), c.answer_hits,
+      static_cast<unsigned long long>(engine.generation()), c.answer_hits,
       c.answer_misses, c.answer_entries, c.answer_evictions, c.plan_hits,
       c.plan_misses, c.plan_entries, c.plan_invalidated);
 }

@@ -17,8 +17,10 @@ namespace trinit::core {
 /// name.
 ///
 /// Contract: `Execute` is `const` and safe to call concurrently from
-/// many threads over one engine, provided no mutating member (rule or KG
-/// edits) runs at the same time. All per-request state lives in the
+/// many threads over one engine. An engine that can be written to while
+/// it serves (`core::Trinit`) runs each request on the immutable state
+/// it pinned at the start, so a request never waits for a write and
+/// sees it entirely or not at all. All per-request state lives in the
 /// `QueryRequest` / local stack. Cross-call state is allowed only when
 /// it is internally synchronized and semantically transparent — a cached
 /// response must be identical to what uncached execution would return
@@ -33,7 +35,8 @@ class Engine {
   virtual std::string_view name() const = 0;
 
   /// The knowledge graph this engine answers over (used e.g. to turn
-  /// result term ids back into labels).
+  /// result term ids back into labels). For an engine that takes
+  /// writes, the reference is valid until the next write returns.
   virtual const xkg::Xkg& xkg() const = 0;
 
   /// Executes one request: resolves effective options (engine defaults +

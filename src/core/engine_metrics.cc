@@ -59,7 +59,7 @@ EngineMetrics EngineMetrics::Register(obs::MetricsRegistry& registry) {
       "trinit_serve_answer_evictions_total", "Answer-cache LRU evictions.");
   m.invalidations = registry.RegisterCounter(
       "trinit_serve_invalidations_total",
-      "Cache entries dropped as generation-stale.");
+      "Engine states published; each drops older-generation answers.");
   m.body_shares = registry.RegisterCounter(
       "trinit_serve_answer_body_shares_total",
       "Responses that shared an immutable cached result body.");

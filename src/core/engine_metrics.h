@@ -25,7 +25,7 @@ struct EngineMetrics {
   obs::Counter answer_misses;
   obs::Counter answer_insertions;
   obs::Counter answer_evictions;
-  obs::Counter invalidations;  ///< entries dropped as generation-stale
+  obs::Counter invalidations;  ///< engine states published
   obs::Counter body_shares;    ///< responses sharing a cached body
 
   // ------------------------------------------------------------ plan

@@ -77,9 +77,9 @@ struct ServingStats {
   /// all zeros).
   bool answer_hit = false;
 
-  /// XKG generation the request ran against; bumped by every engine
-  /// mutation, so two responses with different generations may
-  /// legitimately disagree.
+  /// Generation of the engine state the request ran against; one more
+  /// after every write, so two responses with different generations
+  /// may legitimately disagree, and two with the same one agree.
   uint64_t generation = 0;
 
   // Cumulative engine-level cache counters at response time (monotone

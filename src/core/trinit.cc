@@ -17,23 +17,19 @@
 
 namespace trinit::core {
 
-Trinit::Trinit(xkg::Xkg xkg, TrinitOptions options,
-               uint64_t initial_generation)
-    : state_mu_(std::make_unique<SharedMutex>()),
-      xkg_(std::make_unique<xkg::Xkg>(std::move(xkg))),
-      options_(options),
-      suggester_(std::make_unique<suggest::Suggester>(*xkg_)),
-      autocomplete_(std::make_unique<suggest::Autocomplete>(*xkg_)),
-      explainer_(std::make_unique<explain::ExplanationBuilder>(*xkg_)),
-      serving_cache_(std::make_unique<serve::ServingCache>(
-          options_.serving, initial_generation)),
+Trinit::Trinit(xkg::Xkg xkg, relax::RuleSet rules, TrinitOptions options,
+               uint64_t generation)
+    : writer_mu_(std::make_unique<Mutex>()),
+      current_mu_(std::make_unique<Mutex>()),
+      options_(std::move(options)),
+      serving_cache_(std::make_unique<serve::ServingCache>(options_.serving)),
       registry_(std::make_unique<obs::MetricsRegistry>()),
       slow_log_(std::make_unique<obs::SlowQueryLog>(
           options_.obs.slow_query_ms, options_.obs.slow_log_capacity)) {
   // Bind every instrument before the engine is shared: handles are
-  // plain pointer writes published by the factory-return handoff (and
-  // by the exclusive lock on the ExtendKg rebind path). With
-  // `obs.metrics` off nothing registers and every handle stays an
+  // plain pointer writes published by the factory-return handoff (and,
+  // for the score-shape handles of each later XKG, by the state swap).
+  // With `obs.metrics` off nothing registers and every handle stays an
   // unbound no-op — the runtime proxy for TRINIT_OBS_COMPILED_OUT.
   if (options_.obs.metrics) {
     metrics_ = EngineMetrics::Register(*registry_);
@@ -48,14 +44,19 @@ Trinit::Trinit(xkg::Xkg xkg, TrinitOptions options,
     cache_metrics.plan_misses = metrics_.plan_misses;
     cache_metrics.plan_invalidated = metrics_.plan_invalidated;
     serving_cache_->BindMetrics(cache_metrics);
-    xkg_->BindScoreMetrics(metrics_.shape_sort_ms, metrics_.shape_builds);
   }
+  std::shared_ptr<const EngineState> state =
+      std::make_shared<const EngineState>(EngineState{
+          NewXkgState(std::move(xkg)), std::move(rules), generation});
+  MutexLock lock(*current_mu_);
+  current_ = std::move(state);
 }
 
 Result<Trinit> Trinit::Open(xkg::Xkg xkg, TrinitOptions options) {
   // The options are stored exactly once; the miner setup below reads the
   // engine's copy so the two can never drift apart.
-  Trinit engine(std::move(xkg), std::move(options));
+  Trinit engine(std::move(xkg), relax::RuleSet(), std::move(options),
+                /*generation=*/0);
   const TrinitOptions& opts = engine.options_;
   if (opts.mine_synonyms) {
     relax::SynonymMiner miner(opts.synonym_options);
@@ -81,15 +82,10 @@ Result<Trinit> Trinit::Open(const std::string& path, TrinitOptions options,
   const double open_ms = open_timer.ElapsedMillis();
   if (report != nullptr) *report = snapshot.report;
   // No mining on this path: the snapshot's rule set *is* the serving
-  // state (mined + manual + operator rules as of the save). The stamped
-  // generation seeds the serving cache so the loaded engine continues
-  // the saved engine's coherent invalidation sequence.
-  Trinit engine(std::move(snapshot.xkg), std::move(options),
-                snapshot.generation);
-  {
-    WriterMutexLock lock(*engine.state_mu_);
-    engine.rules_ = std::move(snapshot.rules);
-  }
+  // state (mined + manual + operator rules as of the save), and the
+  // engine continues the saved engine's generation sequence.
+  Trinit engine(std::move(snapshot.xkg), std::move(snapshot.rules),
+                std::move(options), snapshot.generation);
   engine.RecordOpenMetrics(snapshot.report, open_ms);
   return engine;
 }
@@ -103,12 +99,62 @@ void Trinit::RecordOpenMetrics(const storage::LoadReport& report,
   metrics_.mapped.Set(report.mapped ? 1 : 0);
 }
 
+std::shared_ptr<const EngineState> Trinit::Pin() const {
+  MutexLock lock(*current_mu_);
+  return current_;
+}
+
+const EngineState& Trinit::StateOf(
+    const topk::TopKResult& result,
+    std::shared_ptr<const EngineState>* pinned) const {
+  // Only Trinit sets a keepalive, and it always parks an EngineState;
+  // the caller's result keeps it alive for the call.
+  if (result.keepalive != nullptr) {
+    return *static_cast<const EngineState*>(result.keepalive.get());
+  }
+  *pinned = Pin();
+  return **pinned;
+}
+
+std::shared_ptr<const XkgState> Trinit::NewXkgState(xkg::Xkg xkg) const {
+  if (options_.obs.metrics) {
+    xkg.BindScoreMetrics(metrics_.shape_sort_ms, metrics_.shape_builds);
+  }
+  return std::make_shared<const XkgState>(std::move(xkg));
+}
+
+void Trinit::Publish(std::shared_ptr<const XkgState> xkg_state,
+                     relax::RuleSet rules, uint64_t generation) {
+  std::shared_ptr<const EngineState> next =
+      std::make_shared<const EngineState>(
+          EngineState{std::move(xkg_state), std::move(rules), generation});
+  std::shared_ptr<const EngineState> previous;
+  {
+    MutexLock lock(*current_mu_);
+    previous = std::exchange(current_, std::move(next));
+  }
+  // No answer of an older generation stays cached: its body would keep
+  // a retired state alive for a key no new reader asks for.
+  serving_cache_->Publish(generation);
+  // `previous` is released outside the state mutex. The old state goes
+  // with its last reference: this writer's, once it returns, or that of
+  // the last reader or held result still on it.
+}
+
+const xkg::Xkg& Trinit::xkg() const { return Pin()->xkg(); }
+
+const relax::RuleSet& Trinit::rules() const { return Pin()->rules; }
+
+const suggest::Autocomplete& Trinit::autocomplete() const {
+  return Pin()->xkg_state->autocomplete();
+}
+
+uint64_t Trinit::generation() const { return Pin()->generation; }
+
 Status Trinit::Save(const std::string& path) const {
-  // Shared: a save is a consistent read of the engine state; racing
-  // queries proceed, a racing mutator waits (or we wait for it).
-  ReaderMutexLock lock(*state_mu_);
-  return storage::SnapshotWriter::Write(*xkg_, rules_,
-                                        serving_cache_->generation(), path);
+  const std::shared_ptr<const EngineState> state = Pin();
+  return storage::SnapshotWriter::Write(state->xkg(), state->rules,
+                                        state->generation, path);
 }
 
 Result<Trinit> Trinit::FromWorld(const synth::World& world,
@@ -139,39 +185,35 @@ Result<Trinit> Trinit::FromWorld(const synth::World& world,
 }
 
 Status Trinit::AddManualRules(std::string_view text) {
-  // Parsing is pure; the rule set is only touched below.
+  // Parsing is pure; it needs no lock.
   TRINIT_ASSIGN_OR_RETURN(std::vector<relax::Rule> parsed,
                           relax::ParseManualRules(text));
-  WriterMutexLock lock(*state_mu_);
-  Status status = Status::Ok();
+  MutexLock writer(*writer_mu_);
+  const std::shared_ptr<const EngineState> current = Pin();
+  relax::RuleSet rules = current->rules;
   for (relax::Rule& rule : parsed) {
-    status = rules_.Add(std::move(rule));
-    if (!status.ok()) break;
+    TRINIT_RETURN_IF_ERROR(rules.Add(std::move(rule)));
   }
   // New rules change the rewrite space, hence cached answers (and,
-  // harmlessly, cached plans): invalidate everything lazily. Bump even
-  // on failure — a mid-loop error leaves earlier rules added, and a
-  // partially mutated rule set must not serve pre-mutation answers.
-  serving_cache_->BumpGeneration();
-  return status;
+  // harmlessly, cached plans): the new generation invalidates both.
+  Publish(current->xkg_state, std::move(rules), current->generation + 1);
+  return Status::Ok();
 }
 
 Status Trinit::RunOperator(relax::RelaxationOperator& op) {
-  WriterMutexLock lock(*state_mu_);
-  Status status = op.Generate(*xkg_, &rules_);
-  // A failing operator may have added rules before erroring; invalidate
-  // unconditionally before propagating.
-  serving_cache_->BumpGeneration();
-  return status;
+  MutexLock writer(*writer_mu_);
+  const std::shared_ptr<const EngineState> current = Pin();
+  // The operator adds to a copy: if it fails part-way, the rules it
+  // added before the error go with the copy.
+  relax::RuleSet rules = current->rules;
+  TRINIT_RETURN_IF_ERROR(op.Generate(current->xkg(), &rules));
+  Publish(current->xkg_state, std::move(rules), current->generation + 1);
+  return Status::Ok();
 }
 
 Status Trinit::ExtendKg(std::string_view facts_text) {
-  // Exclusive for the whole parse-rebuild-swap: a concurrent query must
-  // never observe the XKG pointee mid-replacement or a sub-component
-  // indexed against the old dictionary.
-  WriterMutexLock lock(*state_mu_);
-  xkg::XkgBuilder builder = xkg::XkgBuilder::FromXkg(*xkg_);
-  size_t added = 0;
+  // Parse and check every fact before taking the writer mutex.
+  std::vector<query::TriplePattern> facts;
   for (const std::string& raw : Split(facts_text, '\n')) {
     std::string_view line = Trim(raw);
     if (line.empty() || line.front() == '#') continue;
@@ -185,60 +227,59 @@ Status Trinit::ExtendKg(std::string_view facts_text) {
               p.ToString());
         }
       }
-      auto intern = [&builder](const query::Term& t) {
-        switch (t.kind) {
-          case query::Term::Kind::kToken:
-            return builder.dict().InternToken(t.text);
-          case query::Term::Kind::kLiteral:
-            return builder.dict().InternLiteral(t.text);
-          default:
-            return builder.dict().InternResource(t.text);
-        }
-      };
-      builder.AddKgFact(intern(p.s), intern(p.p), intern(p.o));
-      ++added;
+      facts.push_back(p);
     }
   }
-  if (added == 0) return Status::InvalidArgument("no facts to add");
+  if (facts.empty()) return Status::InvalidArgument("no facts to add");
 
-  TRINIT_ASSIGN_OR_RETURN(xkg::Xkg rebuilt, builder.Build());
-  *xkg_ = std::move(rebuilt);
-  // Sub-components index dictionary/statistics state; refresh them, and
-  // re-resolve rule constants (term ids are not stable across rebuilds).
-  rules_.ResolveAgainst(xkg_->dict());
-  suggester_ = std::make_unique<suggest::Suggester>(*xkg_);
-  autocomplete_ = std::make_unique<suggest::Autocomplete>(*xkg_);
-  explainer_ = std::make_unique<explain::ExplanationBuilder>(*xkg_);
-  // The rebuilt store (and its fresh score index) lost the metric
-  // bindings; re-bind under this exclusive lock before queries resume.
-  if (options_.obs.metrics) {
-    xkg_->BindScoreMetrics(metrics_.shape_sort_ms, metrics_.shape_builds);
+  // The rebuild runs off the read path: readers keep running on the
+  // current state until the swap in Publish.
+  MutexLock writer(*writer_mu_);
+  const std::shared_ptr<const EngineState> current = Pin();
+  xkg::XkgBuilder builder = xkg::XkgBuilder::FromXkg(current->xkg());
+  auto intern = [&builder](const query::Term& t) {
+    switch (t.kind) {
+      case query::Term::Kind::kToken:
+        return builder.dict().InternToken(t.text);
+      case query::Term::Kind::kLiteral:
+        return builder.dict().InternLiteral(t.text);
+      default:
+        return builder.dict().InternResource(t.text);
+    }
+  };
+  for (const query::TriplePattern& p : facts) {
+    builder.AddKgFact(intern(p.s), intern(p.p), intern(p.o));
   }
-  // Term ids, index lists, and statistics all changed: no cached plan
-  // or answer may be served again.
-  serving_cache_->BumpGeneration();
+  TRINIT_ASSIGN_OR_RETURN(xkg::Xkg rebuilt, builder.Build());
+  std::shared_ptr<const XkgState> xkg_state = NewXkgState(std::move(rebuilt));
+  // Term ids are not stable across rebuilds: re-resolve rule constants
+  // against the new dictionary. Term ids, index lists, and statistics
+  // all changed, so the new generation retires every cached plan and
+  // answer.
+  relax::RuleSet rules = current->rules;
+  rules.ResolveAgainst(xkg_state->xkg().dict());
+  Publish(std::move(xkg_state), std::move(rules), current->generation + 1);
   return Status::Ok();
 }
 
 Result<QueryResponse> Trinit::Execute(const QueryRequest& request) const {
-  // Shared: every concurrent Execute reads the same immutable engine
-  // state; mutators take the lock exclusive, so a request sees the
-  // engine strictly before or strictly after a mutation. The internally
-  // synchronized serving cache's shard mutexes nest *inside* this lock.
-  ReaderMutexLock state_lock(*state_mu_);
+  // Pinned once: the whole request — parse, cache key, plan, join —
+  // runs on this state, whatever a writer publishes meanwhile.
+  const std::shared_ptr<const EngineState> state = Pin();
   WallTimer total;
   metrics_.requests.Increment();
   // In-flight gauge + high-water mark, decremented on every exit path.
   obs::GaugeGuard in_flight(metrics_.active_requests,
                             metrics_.concurrent_peak);
   QueryResponse response;
+  response.serving.generation = state->generation;
   ResolvedOptions resolved =
       ResolveRequestOptions(options_.scorer, options_.processor, request);
 
   WallTimer stage;
   query::Query parsed_storage;
   Result<const query::Query*> resolved_query =
-      ResolveRequestQuery(request, xkg_->dict(), &parsed_storage);
+      ResolveRequestQuery(request, state->xkg().dict(), &parsed_storage);
   if (!resolved_query.ok()) {
     metrics_.parse_errors.Increment();
     return resolved_query.status();
@@ -262,7 +303,7 @@ Result<QueryResponse> Trinit::Execute(const QueryRequest& request) const {
   };
 
   // Serving cache, answer layer: a complete result stored for the same
-  // canonical query under the same effective configuration and XKG
+  // canonical query under the same effective configuration and
   // generation short-circuits everything below — no planning, no
   // streams, no rank-join.
   std::string answer_key;
@@ -276,8 +317,7 @@ Result<QueryResponse> Trinit::Execute(const QueryRequest& request) const {
     // renders from term text — and is left to the processor.)
     query::Query canonical(q->patterns(), q->EffectiveProjection());
     answer_key = serve::ServingCache::AnswerKey(
-        canonical, resolved.scorer, resolved.processor,
-        serving_cache_->generation());
+        canonical, resolved.scorer, resolved.processor, state->generation);
     std::shared_ptr<const topk::TopKResult> cached =
         serving_cache_->LookupAnswer(answer_key);
     cache_ms = stage.ElapsedMillis();
@@ -292,10 +332,14 @@ Result<QueryResponse> Trinit::Execute(const QueryRequest& request) const {
   }
 
   stage.Reset();
-  topk::TopKProcessor processor(*xkg_, rules_, resolved.scorer,
+  topk::TopKProcessor processor(state->xkg(), state->rules, resolved.scorer,
                                 resolved.processor,
-                                serving_cache_->plan_cache());
+                                serving_cache_->plan_cache(),
+                                state->generation);
   TRINIT_ASSIGN_OR_RETURN(topk::TopKResult computed, processor.Answer(*q));
+  // The result keeps its state: its term ids and rule pointers stay
+  // meaningful to Explain, RenderAnswer and Suggest after any write.
+  computed.keepalive = state;
   response.AdoptResult(std::move(computed));
   process_ms = stage.ElapsedMillis();
 
@@ -303,7 +347,8 @@ Result<QueryResponse> Trinit::Execute(const QueryRequest& request) const {
   // not what uncached execution would produce tomorrow. Storing shares
   // the response's own body — the cache never deep-copies either.
   if (try_answer_cache && !response.stats.deadline_hit) {
-    serving_cache_->StoreAnswer(answer_key, response.result_body);
+    serving_cache_->StoreAnswer(answer_key, state->generation,
+                                response.result_body);
   }
   return finish();
 }
@@ -317,7 +362,6 @@ void Trinit::FinishRequestObservation(const QueryRequest& request,
   // consumer below (latency histogram, span tree, slow-log gate) sees
   // one consistent end-to-end number.
   ServingStats& serving = response->serving;
-  serving.generation = serving_cache_->generation();
   // Satellite of PR 10: cumulative counters now come from the lock-free
   // registry on *every* request — the per-trace shard-lock sweep is
   // gone. Relaxed reads; zeros when metrics are off.
@@ -447,24 +491,28 @@ Result<topk::TopKResult> Trinit::Answer(const query::Query& q,
 explain::Explanation Trinit::Explain(const topk::TopKResult& result,
                                      size_t rank) const {
   TRINIT_CHECK(rank < result.answers.size());
-  ReaderMutexLock lock(*state_mu_);
-  return explainer_->Explain(result.projection, result.answers[rank]);
+  std::shared_ptr<const EngineState> pinned;
+  const EngineState& state = StateOf(result, &pinned);
+  return explain::ExplanationBuilder(state.xkg())
+      .Explain(result.projection, result.answers[rank]);
 }
 
 std::vector<suggest::Suggestion> Trinit::Suggest(
     const query::Query& q, const topk::TopKResult& result) const {
-  ReaderMutexLock lock(*state_mu_);
-  return suggester_->Suggest(q, result.answers);
+  std::shared_ptr<const EngineState> pinned;
+  const EngineState& state = StateOf(result, &pinned);
+  return state.xkg_state->suggester().Suggest(q, result.answers);
 }
 
 std::string Trinit::RenderAnswer(const topk::TopKResult& result,
                                  size_t rank) const {
   TRINIT_CHECK(rank < result.answers.size());
-  ReaderMutexLock lock(*state_mu_);
+  std::shared_ptr<const EngineState> pinned;
+  const EngineState& state = StateOf(result, &pinned);
   std::vector<std::string> parts;
   for (size_t i = 0; i < result.projection.size(); ++i) {
     parts.push_back("?" + result.projection[i] + " = " +
-                    xkg_->dict().DebugLabel(result.ValueAt(rank, i)));
+                    state.xkg().dict().DebugLabel(result.ValueAt(rank, i)));
   }
   return Join(parts, ", ");
 }

@@ -1,6 +1,7 @@
 #ifndef TRINIT_CORE_TRINIT_H_
 #define TRINIT_CORE_TRINIT_H_
 
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <span>
@@ -10,6 +11,7 @@
 
 #include "core/engine.h"
 #include "core/engine_metrics.h"
+#include "core/engine_state.h"
 #include "core/request.h"
 #include "explain/explanation.h"
 #include "obs/metrics.h"
@@ -20,7 +22,6 @@
 #include "relax/synonym_miner.h"
 #include "serve/serving_cache.h"
 #include "storage/snapshot.h"
-#include "suggest/autocomplete.h"
 #include "suggest/suggester.h"
 #include "synth/corpus_generator.h"
 #include "topk/topk_processor.h"
@@ -68,24 +69,32 @@ struct TrinitOptions {
 /// operators), the incremental top-k processor, answer explanation, and
 /// query suggestion.
 ///
-/// Threading: the engine is internally synchronized by a single
-/// reader-writer lock (`state_mu_`). `Execute` (and the `Query`/
-/// `Answer` shims over it), `Save`, `Explain`, `Suggest`, and
-/// `RenderAnswer` take it shared, so any number of threads may query
-/// one engine concurrently — `ExecuteBatch` does exactly that. The
-/// mutating members (`AddManualRules`, `ExtendKg`, `RunOperator`) take
-/// it exclusive: they may now run concurrently with queries — a query
-/// observes the engine strictly before or strictly after the mutation,
-/// never mid-rebuild — and each bumps the serving cache's generation
-/// before releasing the lock so no stale plan or answer survives.
-/// Lock ordering: `state_mu_` is always acquired before any serving- or
-/// plan-cache shard mutex, never after (see docs/CONCURRENCY.md).
+/// Threading: everything a write replaces — the XKG with its derived
+/// state, the rule set, and the generation — lives in one immutable
+/// `EngineState`. Readers never wait for a write:
+///
+/// - **Pin.** `Execute` (and the `Query`/`Answer` shims over it) and
+///   `Save` copy the current `shared_ptr<const EngineState>` once, under
+///   a mutex held only for that copy, and run against the pinned state
+///   to the end. Any number of threads may read one engine concurrently
+///   — `ExecuteBatch` does exactly that.
+/// - **Publish.** The writers (`AddManualRules`, `ExtendKg`,
+///   `RunOperator`) serialize on one writer mutex, build the next state
+///   from the current one without blocking readers, and publish it with
+///   one pointer swap at generation + 1. A reader sees a write entirely
+///   or not at all. A write that returns an error publishes nothing.
+/// - **Results keep their state.** A result `Execute` returns carries
+///   its state (`topk::TopKResult::keepalive`), and `Explain`,
+///   `RenderAnswer` and `Suggest` read that state, so a held result
+///   explains and renders the same after any number of writes.
+///
+/// Lock order: writer mutex → state mutex → serving- and plan-cache
+/// shard mutexes (see docs/CONCURRENCY.md).
 ///
 /// The reference-returning accessors (`xkg()`, `rules()`,
-/// `autocomplete()`) are deliberately unlocked: the references they
-/// return would outlive any internal guard. They are safe on a quiesced
-/// engine (no concurrent mutator) — the benches' and explorers' usage —
-/// and the returned references are invalidated by any mutation.
+/// `autocomplete()`) return the current state's objects. A reference
+/// stays valid until the next write returns; it must not be held
+/// across one.
 class Trinit : public Engine {
  public:
   /// Statistics of a FromWorld build.
@@ -110,7 +119,7 @@ class Trinit : public Engine {
   /// re-mining. The dictionary, triple store, permutation indexes,
   /// every score-ordered shape built before the save, graph statistics,
   /// provenance, and the active rule set are restored verbatim, and the
-  /// serving cache starts at the snapshot's stamped XKG generation.
+  /// engine continues at the snapshot's stamped generation.
   /// `report` (optional) receives what was restored. Corrupt, foreign,
   /// or version-mismatched files yield the typed errors documented on
   /// `storage::SnapshotReader`.
@@ -121,12 +130,11 @@ class Trinit : public Engine {
   /// Persists the complete serving state — XKG (dictionary, triples +
   /// confidences + provenance, graph statistics, all permutation
   /// indexes and lazily-built score-ordered shapes as currently
-  /// materialized), the active rule set, and the serving-cache
-  /// generation — into one versioned binary snapshot at `path`. A
-  /// `Trinit::Open(path)` of the result answers byte-identically to
-  /// this engine. Takes the engine-state lock shared, so saving is safe
-  /// concurrently with queries and with mutators (the snapshot captures
-  /// the state strictly before or after any racing mutation).
+  /// materialized), the active rule set, and the generation — into one
+  /// versioned binary snapshot at `path`. A `Trinit::Open(path)` of the
+  /// result answers byte-identically to this engine. Writes the state
+  /// it pinned, so saving is safe concurrently with queries and with
+  /// writers, and never waits for a write.
   Status Save(const std::string& path) const;
 
   /// Full reproduction pipeline: generate the synthetic world's KG,
@@ -137,7 +145,8 @@ class Trinit : public Engine {
                                   BuildReport* report = nullptr);
 
   /// Adds user-defined relaxation rules (demo §5), in the
-  /// `ParseManualRules` syntax.
+  /// `ParseManualRules` syntax. All or nothing: a rule that fails to
+  /// add leaves the engine as it was.
   Status AddManualRules(std::string_view text);
 
   /// Extends the knowledge graph with additional facts — the demo's
@@ -149,16 +158,17 @@ class Trinit : public Engine {
   Status ExtendKg(std::string_view facts_text);
 
   /// Runs a plugged-in relaxation operator over the XKG (paper §3's
-  /// operator API) and absorbs its rules.
+  /// operator API) and absorbs its rules. The operator works on a copy
+  /// of the rule set; if it returns an error, none of its rules land.
   Status RunOperator(relax::RelaxationOperator& op);
 
   // ------------------------------------------------------- Engine API
 
   std::string_view name() const override { return "TriniT"; }
 
-  /// Unlocked snapshot accessor (see class comment): must not race a
-  /// mutator; the reference is invalidated by `ExtendKg`.
-  const xkg::Xkg& xkg() const override { return XkgUnlocked(); }
+  /// The current state's XKG; valid until the next write returns (see
+  /// class comment).
+  const xkg::Xkg& xkg() const override;
 
   /// The single query entry point: resolves the request's per-call
   /// overrides against the engine defaults, parses `request.text`
@@ -187,6 +197,10 @@ class Trinit : public Engine {
 
   // ----------------------------------------------- exploration extras
 
+  // Explain, Suggest and RenderAnswer read the state that computed
+  // `result` (its keepalive), and the current state only for a result
+  // no Trinit produced, such as a bare `topk::TopKProcessor`'s.
+
   /// Structured explanation of `result.answers[rank]` (demo §5).
   explain::Explanation Explain(const topk::TopKResult& result,
                                size_t rank) const;
@@ -200,19 +214,17 @@ class Trinit : public Engine {
   std::string RenderAnswer(const topk::TopKResult& result,
                            size_t rank) const;
 
-  /// Prefix auto-completion over the XKG vocabulary (demo §5).
-  /// Unlocked snapshot accessor (see class comment): must not race a
-  /// mutator.
-  const suggest::Autocomplete& autocomplete() const
-      TRINIT_NO_THREAD_SAFETY_ANALYSIS {
-    return *autocomplete_;
-  }
+  /// Prefix auto-completion over the current XKG's vocabulary (demo
+  /// §5), built on first use; valid until the next write returns.
+  const suggest::Autocomplete& autocomplete() const;
 
-  /// Unlocked snapshot accessor (see class comment): must not race a
-  /// mutator.
-  const relax::RuleSet& rules() const TRINIT_NO_THREAD_SAFETY_ANALYSIS {
-    return rules_;
-  }
+  /// The current rule set; valid until the next write returns.
+  const relax::RuleSet& rules() const;
+
+  /// The current state's generation: the one `Execute` reports in
+  /// `ServingStats::generation`, one more after every write.
+  uint64_t generation() const;
+
   const TrinitOptions& options() const { return options_; }
 
   /// The engine-level serving cache: cross-request plan reuse plus the
@@ -224,7 +236,7 @@ class Trinit : public Engine {
 
   /// Point-in-time snapshot of every registered engine metric (PR 10).
   /// Lock-free relaxed reads of the live cells — safe concurrently with
-  /// any number of executing requests and with mutators. Empty when the
+  /// any number of executing requests and with writers. Empty when the
   /// engine runs with `ObsOptions::metrics = false`. Render with
   /// `obs::RenderPrometheus` / `obs::RenderJson`.
   obs::MetricsSnapshot MetricsSnapshot() const { return registry_->Snapshot(); }
@@ -234,36 +246,43 @@ class Trinit : public Engine {
   const obs::SlowQueryLog& slow_query_log() const { return *slow_log_; }
 
  private:
-  /// `initial_generation` seeds the serving cache — 0 for fresh builds,
-  /// the snapshot's stamped generation on the `Open(path)` path.
-  Trinit(xkg::Xkg xkg, TrinitOptions options,
-         uint64_t initial_generation = 0);
+  Trinit(xkg::Xkg xkg, relax::RuleSet rules, TrinitOptions options,
+         uint64_t generation);
 
-  /// The unlocked body behind `xkg()` (see class comment for the
-  /// no-concurrent-mutator contract the escape hatch encodes).
-  const xkg::Xkg& XkgUnlocked() const TRINIT_NO_THREAD_SAFETY_ANALYSIS {
-    return *xkg_;
-  }
+  /// The current state, copied under `current_mu_`. A reader pins once
+  /// and runs on the copy to the end.
+  std::shared_ptr<const EngineState> Pin() const;
 
-  /// Engine-state reader-writer lock: queries/Save share, mutators
-  /// exclude. Heap-allocated so the (non-movable) mutex survives the
-  /// factory-return move of the engine; never null after construction.
-  /// Acquired before any cache shard mutex, never after.
-  std::unique_ptr<SharedMutex> state_mu_;
+  /// The state that computed `result`, or, for a result without a
+  /// keepalive, the current one, pinned into `*pinned`.
+  const EngineState& StateOf(const topk::TopKResult& result,
+                             std::shared_ptr<const EngineState>* pinned) const;
 
-  // Stable address for sub-components; the *pointee* is rebuilt by
-  // `ExtendKg` under the exclusive lock.
-  std::unique_ptr<xkg::Xkg> xkg_ TRINIT_PT_GUARDED_BY(state_mu_);
+  /// Wraps a freshly built XKG for a new state, binding the score-shape
+  /// metrics first (the XKG is immutable once shared).
+  std::shared_ptr<const XkgState> NewXkgState(xkg::Xkg xkg) const;
+
+  /// Swaps in the state built from `xkg_state` and `rules` at
+  /// `generation`, then drops older serving-cache answers. The previous
+  /// state is released after the state mutex, so no pin waits on its
+  /// destructor. Callers hold `writer_mu_`.
+  void Publish(std::shared_ptr<const XkgState> xkg_state,
+               relax::RuleSet rules, uint64_t generation);
+
+  /// Serializes writers: each builds the next state from the current
+  /// one. Heap-allocated, like `current_mu_`, so the (non-movable) mutex
+  /// survives the factory-return move of the engine.
+  std::unique_ptr<Mutex> writer_mu_;
+  /// The state mutex: held only to copy or swap `current_`, never while
+  /// building a state or destroying one.
+  std::unique_ptr<Mutex> current_mu_;
+  std::shared_ptr<const EngineState> current_
+      TRINIT_GUARDED_BY(current_mu_);
+
   TrinitOptions options_;  // immutable after construction
-  relax::RuleSet rules_ TRINIT_GUARDED_BY(state_mu_);
-  std::unique_ptr<suggest::Suggester> suggester_ TRINIT_GUARDED_BY(state_mu_);
-  std::unique_ptr<suggest::Autocomplete> autocomplete_
-      TRINIT_GUARDED_BY(state_mu_);
-  std::unique_ptr<explain::ExplanationBuilder> explainer_
-      TRINIT_GUARDED_BY(state_mu_);
-  // Shared across every request; survives mutations via generation
-  // bumps (stale entries are invalidated lazily, never served).
-  // Internally synchronized — safe to touch under the shared lock.
+  // Shared across every request and every state; answer entries are
+  // keyed by generation and dropped on publish. Internally
+  // synchronized.
   std::unique_ptr<serve::ServingCache> serving_cache_;
 
   // ------------------------------------------------ observability (PR 10)

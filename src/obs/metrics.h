@@ -37,8 +37,8 @@
 /// isolation, but one scrape is NOT a cross-metric atomic cut — two
 /// counters bumped by the same request may be observed one-with,
 /// one-without. Handles must be bound before the owning structure is
-/// shared across threads (the engine binds under its exclusive state
-/// lock or before construction returns).
+/// shared across threads (the engine binds before construction
+/// returns, or on a new XKG before it publishes the state holding it).
 namespace trinit::obs {
 
 /// Observability knobs of one engine (`core::TrinitOptions::obs`).

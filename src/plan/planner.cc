@@ -208,9 +208,8 @@ std::shared_ptr<const JoinPlan> Planner::Compile(const query::Query& q,
   return plan;
 }
 
-PlanCache::PlanCache(size_t num_shards, uint64_t initial_generation)
-    : generation_(initial_generation),
-      shards_(num_shards == 0 ? 1 : num_shards) {}
+PlanCache::PlanCache(size_t num_shards)
+    : shards_(num_shards == 0 ? 1 : num_shards) {}
 
 PlanCache::Shard& PlanCache::ShardFor(const std::string& key) const {
   return shards_[std::hash<std::string>{}(key) % shards_.size()];
@@ -219,25 +218,23 @@ PlanCache::Shard& PlanCache::ShardFor(const std::string& key) const {
 std::shared_ptr<const JoinPlan> PlanCache::Get(const query::Query& q,
                                                const query::VarTable& vars,
                                                const xkg::Xkg& xkg,
+                                               uint64_t generation,
                                                bool cost_order,
                                                bool* was_hit) const {
   std::string key =
       (cost_order ? "C|" : "P|") + JoinPlan::StructureOf(q, vars);
   if (was_hit != nullptr) *was_hit = false;
-  // Stamp the entry with the generation observed *before* compiling: if
-  // a mutation bumps the generation mid-compile, the entry is born
-  // stale and the next lookup recompiles against the new data.
-  const uint64_t gen = generation();
   Shard& shard = ShardFor(key);
   {
     MutexLock lock(shard.mu);
-    if (shard.swept_generation != gen) {
-      // First touch of this shard since a bump: reap every stale entry
-      // (a rebuild may have moved the term ids inside the structural
-      // keys, so stale entries would otherwise be orphaned under dead
-      // keys forever). Amortized — one sweep per shard per mutation.
+    if (shard.swept_generation < generation) {
+      // First touch of this shard by a newer state: reap every older
+      // entry (a rebuild may have moved the term ids inside the
+      // structural keys, so stale entries would otherwise be orphaned
+      // under dead keys forever). Amortized — one sweep per shard per
+      // write.
       for (auto it = shard.entries.begin(); it != shard.entries.end();) {
-        if (it->second.generation != gen) {
+        if (it->second.generation < generation) {
           it = shard.entries.erase(it);
           ++shard.stats.invalidated;
           metric_invalidated_.Increment();
@@ -245,21 +242,14 @@ std::shared_ptr<const JoinPlan> PlanCache::Get(const query::Query& q,
           ++it;
         }
       }
-      shard.swept_generation = gen;
+      shard.swept_generation = generation;
     }
     auto it = shard.entries.find(key);
-    if (it != shard.entries.end() && it->second.generation == gen) {
+    if (it != shard.entries.end() && it->second.generation == generation) {
       ++shard.stats.hits;
       metric_hits_.Increment();
       if (was_hit != nullptr) *was_hit = true;
       return it->second.plan;
-    }
-    if (it != shard.entries.end()) {
-      // A racing pre-bump compile slipped in after this shard's sweep;
-      // never serve it.
-      ++shard.stats.invalidated;
-      metric_invalidated_.Increment();
-      shard.entries.erase(it);
     }
     ++shard.stats.misses;
     metric_misses_.Increment();
@@ -270,10 +260,12 @@ std::shared_ptr<const JoinPlan> PlanCache::Get(const query::Query& q,
   std::shared_ptr<const JoinPlan> plan =
       Planner::Compile(q, vars, xkg, cost_order);
   MutexLock lock(shard.mu);
+  // Only the shard's newest generation caches: a reader still on an
+  // older state keeps its plan to itself, so the entries a shard holds
+  // never mix generations.
+  if (generation != shard.swept_generation) return plan;
   Entry& entry = shard.entries[key];
-  if (entry.plan == nullptr || entry.generation < gen) {
-    entry = Entry{gen, std::move(plan)};
-  }
+  if (entry.plan == nullptr) entry = Entry{generation, std::move(plan)};
   return entry.plan;
 }
 

@@ -1,7 +1,6 @@
 #ifndef TRINIT_PLAN_PLANNER_H_
 #define TRINIT_PLAN_PLANNER_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -56,12 +55,17 @@ class Planner {
 /// processor constructed without a shared cache still owns a private
 /// one (benches, tests, direct processor users).
 ///
-/// Invalidation: entries are stamped with the cache's *generation* at
-/// insert. `BumpGeneration()` (called on any XKG/rule mutation) is O(1)
-/// and never blocks readers; each shard lazily reaps its stale entries
-/// on its first lookup after the bump (`Stats::invalidated` counts
-/// them), so nothing stale is ever served and orphaned keys (a rebuild
-/// moves term ids inside structural signatures) cannot accumulate.
+/// Invalidation: entries are stamped with the *generation* of the
+/// engine state the caller planned against, which every `Get` passes
+/// in (the engine's pinned `EngineState` generation, through
+/// `topk::TopKProcessor`). A hit needs an exact generation match, so a
+/// reader still running on an older state never gets a plan compiled
+/// on a newer XKG, nor the other way round. The first lookup of a
+/// newer generation on a shard reaps that shard's older entries
+/// (`Stats::invalidated` counts them), so orphaned keys (a rebuild
+/// moves term ids inside structural signatures) cannot accumulate; a
+/// lookup from an older generation compiles its plan without caching
+/// it.
 class PlanCache {
  public:
   struct Stats {
@@ -74,36 +78,22 @@ class PlanCache {
 
   /// `num_shards` splits the key space across independently locked
   /// maps; 1 (the default) is right for per-processor private caches,
-  /// the engine-level serving cache uses more. `initial_generation`
-  /// seeds the invalidation counter — a snapshot-restored engine
-  /// continues the saved engine's generation sequence instead of
-  /// restarting at 0 (see `serve::ServingCache`).
-  explicit PlanCache(size_t num_shards = 1, uint64_t initial_generation = 0);
+  /// the engine-level serving cache uses more.
+  explicit PlanCache(size_t num_shards = 1);
 
-  /// Returns the cached plan for `q`'s structure, compiling (and
-  /// caching) it on first sight. Safe for concurrent callers.
-  /// Cost-ordered and parser-ordered plans cache under distinct keys.
-  /// `was_hit` (optional) reports whether this call was served from
-  /// cache — per-call, so concurrent callers can attribute hits/misses
-  /// to their own run (the aggregate `stats()` is cache-global).
+  /// Returns the cached plan for `q`'s structure under `generation`,
+  /// compiling (and caching) it on first sight. `xkg` must be the XKG
+  /// of that generation. Safe for concurrent callers. Cost-ordered and
+  /// parser-ordered plans cache under distinct keys. `was_hit`
+  /// (optional) reports whether this call was served from cache —
+  /// per-call, so concurrent callers can attribute hits/misses to their
+  /// own run (the aggregate `stats()` is cache-global).
   std::shared_ptr<const JoinPlan> Get(const query::Query& q,
                                       const query::VarTable& vars,
                                       const xkg::Xkg& xkg,
+                                      uint64_t generation,
                                       bool cost_order = true,
                                       bool* was_hit = nullptr) const;
-
-  /// The current generation; entries from older generations are treated
-  /// as absent (and recompiled) on lookup.
-  uint64_t generation() const {
-    return generation_.load(std::memory_order_acquire);
-  }
-
-  /// Invalidates every cached plan, lazily: bumps the generation so
-  /// stale entries miss on their next lookup. Call after any mutation
-  /// of the data the plans were compiled against.
-  void BumpGeneration() {
-    generation_.fetch_add(1, std::memory_order_acq_rel);
-  }
 
   Stats stats() const;
   size_t size() const;  ///< entries held, including not-yet-reaped stale
@@ -126,15 +116,15 @@ class PlanCache {
     mutable Mutex mu;
     std::unordered_map<std::string, Entry> entries TRINIT_GUARDED_BY(mu);
     Stats stats TRINIT_GUARDED_BY(mu);
-    /// Generation this shard last reaped stale entries for (a rebuild
-    /// can move term ids inside structural keys, so stale entries must
-    /// be swept, not just overwritten on key collision).
+    /// Newest generation looked up on this shard; older entries are
+    /// reaped when it advances (a rebuild can move term ids inside
+    /// structural keys, so stale entries must be swept, not just
+    /// overwritten on key collision).
     uint64_t swept_generation TRINIT_GUARDED_BY(mu) = 0;
   };
 
   Shard& ShardFor(const std::string& key) const;
 
-  std::atomic<uint64_t> generation_{0};
   mutable std::vector<Shard> shards_;
   // Registry mirrors of Stats; written only by BindMetrics (pre-share).
   obs::Counter metric_hits_;

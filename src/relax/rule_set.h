@@ -17,12 +17,14 @@ namespace trinit::relax {
 /// Rules are indexed by the predicate term of their first LHS pattern
 /// (constant predicate -> that id/text; variable predicate -> generic
 /// bucket) so the rewriter only attempts rules that can possibly fire on
-/// a pattern.
+/// a pattern. A copy is deep and independent — the indexes hold
+/// positions, not pointers — which is how an engine write builds its
+/// next rule set without touching the published one.
 class RuleSet {
  public:
   RuleSet() = default;
-  RuleSet(const RuleSet&) = delete;
-  RuleSet& operator=(const RuleSet&) = delete;
+  RuleSet(const RuleSet&) = default;
+  RuleSet& operator=(const RuleSet&) = default;
   RuleSet(RuleSet&&) = default;
   RuleSet& operator=(RuleSet&&) = default;
 

@@ -22,20 +22,34 @@ size_t EffectiveAnswerShards(const ServingCacheOptions& options) {
 
 }  // namespace
 
-ServingCache::ServingCache(ServingCacheOptions options,
-                           uint64_t initial_generation)
+ServingCache::ServingCache(ServingCacheOptions options)
     : options_(options),
-      generation_(initial_generation),
-      plan_cache_(options.num_shards == 0 ? 1 : options.num_shards,
-                  initial_generation),
+      plan_cache_(options.num_shards == 0 ? 1 : options.num_shards),
       answer_shards_(EffectiveAnswerShards(options)) {
   if (options_.answer_capacity == 0) options_.cache_answers = false;
 }
 
-void ServingCache::BumpGeneration() {
-  generation_.fetch_add(1, std::memory_order_acq_rel);
-  plan_cache_.BumpGeneration();
+void ServingCache::Publish(uint64_t generation) {
   metrics_.invalidations.Increment();
+  for (AnswerShard& shard : answer_shards_) {
+    // Dropped bodies are destroyed after the shard lock is released:
+    // freeing their answers is work no lookup on this shard should
+    // wait for.
+    std::vector<std::shared_ptr<const topk::TopKResult>> retired;
+    {
+      MutexLock lock(shard.mu);
+      if (shard.published < generation) shard.published = generation;
+      for (auto it = shard.lru.begin(); it != shard.lru.end();) {
+        if (it->generation < shard.published) {
+          retired.push_back(std::move(it->body));
+          shard.index.erase(it->key);
+          it = shard.lru.erase(it);
+        } else {
+          ++it;
+        }
+      }
+    }
+  }
 }
 
 void ServingCache::BindMetrics(const Metrics& metrics) {
@@ -111,32 +125,36 @@ std::shared_ptr<const topk::TopKResult> ServingCache::LookupAnswer(
   // LRU splice — no deep copy of k answers. Per-request "the hit did no
   // work" stats are the serving layer's copy-on-serve concern
   // (`core::QueryResponse::stats`), not the stored body's.
-  return it->second->second;
+  return it->second->body;
 }
 
 void ServingCache::StoreAnswer(
-    const std::string& key,
+    const std::string& key, uint64_t generation,
     std::shared_ptr<const topk::TopKResult> result) const {
   if (!options_.enabled || !options_.cache_answers) return;
   if (result == nullptr) return;
   AnswerShard& shard = ShardFor(key);
   MutexLock lock(shard.mu);
+  // A reader that pinned a state before the latest publish computed
+  // this body on a retired XKG: caching it would keep that XKG alive
+  // for a key no current reader can ask for.
+  if (generation < shard.published) return;
   auto it = shard.index.find(key);
   if (it != shard.index.end()) {
     // Racing duplicate store (two threads missed on the same key):
     // refresh the value and position, no growth. Readers still holding
     // the old body keep it alive through their own shared_ptr.
-    it->second->second = std::move(result);
+    it->second->body = std::move(result);
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
     return;
   }
-  shard.lru.emplace_front(key, std::move(result));
+  shard.lru.push_front(AnswerEntry{key, generation, std::move(result)});
   shard.index.emplace(key, shard.lru.begin());
   ++shard.insertions;
   metrics_.answer_insertions.Increment();
   const size_t capacity = ShardCapacity();
   while (shard.lru.size() > capacity) {
-    shard.index.erase(shard.lru.back().first);
+    shard.index.erase(shard.lru.back().key);
     shard.lru.pop_back();
     ++shard.evictions;
     metrics_.answer_evictions.Increment();
@@ -145,7 +163,6 @@ void ServingCache::StoreAnswer(
 
 ServingCache::Counters ServingCache::counters() const {
   Counters out;
-  out.generation = generation();
   for (const AnswerShard& shard : answer_shards_) {
     MutexLock lock(shard.mu);
     out.answer_hits += shard.hits;

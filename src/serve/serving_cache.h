@@ -1,7 +1,6 @@
 #ifndef TRINIT_SERVE_SERVING_CACHE_H_
 #define TRINIT_SERVE_SERVING_CACHE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <list>
 #include <memory>
@@ -26,7 +25,7 @@ struct ServingCacheOptions {
   bool enabled = true;
 
   /// Cache compiled `plan::JoinPlan`s across requests (keyed by
-  /// structural signature + generation).
+  /// structural signature, stamped with the generation).
   bool cache_plans = true;
 
   /// Cache complete top-k results across requests (keyed by canonical
@@ -48,14 +47,16 @@ struct ServingCacheOptions {
 /// assumption made real): one per `core::Trinit`, shared by every
 /// request, thread-safe throughout.
 ///
-/// Two layers, both keyed under an XKG *generation* counter that the
-/// engine bumps on any mutation (KG extension, rule addition, operator
-/// run):
+/// Two layers, both keyed under the *generation* of the engine state a
+/// request pinned (`core::Trinit` publishes a new state, generation + 1,
+/// on every write — KG extension, rule addition, operator run). The
+/// cache keeps no generation counter of its own: every caller passes
+/// the generation it read its state at.
 ///
 /// - **Plan cache** — the per-request `plan::PlanCache` of PR 3
 ///   promoted to cross-request scope. Keyed by structural signature;
-///   generation-stamped entries are invalidated lazily on first stale
-///   lookup (`PlanCache::BumpGeneration`).
+///   entries are stamped with the caller's generation and reaped lazily
+///   by the first lookup of a newer one.
 /// - **Answer cache** — a bounded, sharded LRU of complete
 ///   `topk::TopKResult`s keyed by the full canonical query text plus
 ///   `k`, the effective scorer/relaxation configuration, and the
@@ -66,49 +67,39 @@ struct ServingCacheOptions {
 ///   of k answers on either side of the cache, and the shard lock is
 ///   held only for a refcount bump. Only *complete* results are stored:
 ///   a deadline-truncated run is never cached, so a cached answer
-///   always equals what uncached execution would produce. Generation
-///   bumps invalidate by key mismatch — stale entries age out through
-///   the LRU bound rather than a stop-the-world sweep.
-///
-/// An engine restored from a binary snapshot passes the snapshot's
-/// stamped XKG generation as `initial_generation`, so the loaded
-/// process's cache keys continue the saved engine's coherent sequence
-/// instead of restarting at 0.
+///   always equals what uncached execution would produce.
+///   `Publish` drops every entry of an older generation, so no cached
+///   body keeps a retired engine state (and its XKG) alive.
 class ServingCache {
  public:
   /// Cumulative cache-activity counters (monotone since construction;
-  /// `*_entries` and `generation` are point-in-time).
+  /// `*_entries` are point-in-time).
   struct Counters {
-    uint64_t generation = 0;
     size_t answer_hits = 0;
     size_t answer_misses = 0;
     size_t answer_insertions = 0;
-    size_t answer_evictions = 0;  ///< LRU pressure, stale entries included
+    size_t answer_evictions = 0;  ///< LRU pressure only
     size_t answer_entries = 0;
     size_t plan_hits = 0;
     size_t plan_misses = 0;
-    size_t plan_invalidated = 0;  ///< stale plans recompiled after a bump
+    size_t plan_invalidated = 0;  ///< older-generation plans reaped
     size_t plan_entries = 0;
   };
 
-  explicit ServingCache(ServingCacheOptions options = {},
-                        uint64_t initial_generation = 0);
+  explicit ServingCache(ServingCacheOptions options = {});
 
   ServingCache(const ServingCache&) = delete;
   ServingCache& operator=(const ServingCache&) = delete;
 
   const ServingCacheOptions& options() const { return options_; }
 
-  /// Current XKG generation. Part of every answer key; the plan cache
-  /// tracks it internally.
-  uint64_t generation() const {
-    return generation_.load(std::memory_order_acquire);
-  }
-
-  /// Invalidates everything, lazily: bumps the generation (new answer
-  /// keys stop matching old entries; the plan cache marks its entries
-  /// stale). O(1), never blocks concurrent readers behind a sweep.
-  void BumpGeneration();
+  /// Called by the engine's writer after it published the state of
+  /// `generation`: drops every answer entry of an older generation and
+  /// refuses older stores from then on. Each shard is swept under its
+  /// own lock, one at a time; the dropped bodies are destroyed after
+  /// the shard lock is released. Plans are reaped lazily instead (see
+  /// `plan::PlanCache`).
+  void Publish(uint64_t generation);
 
   /// The shared cross-request plan cache, or nullptr when plan caching
   /// is disabled (callers then fall back to private per-processor
@@ -139,12 +130,13 @@ class ServingCache {
   std::shared_ptr<const topk::TopKResult> LookupAnswer(
       const std::string& key) const;
 
-  /// Stores a *complete* result under `key` (callers must not pass
-  /// deadline-truncated runs; null is rejected), evicting the shard's
-  /// LRU tail beyond capacity. The body is shared, not copied — callers
-  /// typically pass the same `shared_ptr` their response aliases. No-op
-  /// when answer caching is disabled.
-  void StoreAnswer(const std::string& key,
+  /// Stores a *complete* result computed on the state of `generation`
+  /// under `key` (callers must not pass deadline-truncated runs; null
+  /// is rejected), evicting the shard's LRU tail beyond capacity. The
+  /// body is shared, not copied — callers typically pass the same
+  /// `shared_ptr` their response aliases. No-op when answer caching is
+  /// disabled, and for a body older than the newest `Publish`.
+  void StoreAnswer(const std::string& key, uint64_t generation,
                    std::shared_ptr<const topk::TopKResult> result) const;
 
   Counters counters() const;
@@ -152,7 +144,7 @@ class ServingCache {
   /// The registry handles the cache mirrors its activity onto (PR 10).
   /// Everything here is *in addition to* the exact mutex-guarded
   /// per-shard counters behind `counters()`; registry reads are
-  /// relaxed and lock-free. `invalidations` counts generation bumps.
+  /// relaxed and lock-free. `invalidations` counts `Publish` calls.
   struct Metrics {
     obs::Counter answer_hits;
     obs::Counter answer_misses;
@@ -171,10 +163,15 @@ class ServingCache {
   void BindMetrics(const Metrics& metrics);
 
  private:
-  using AnswerEntry =
-      std::pair<std::string, std::shared_ptr<const topk::TopKResult>>;
+  struct AnswerEntry {
+    std::string key;
+    uint64_t generation = 0;
+    std::shared_ptr<const topk::TopKResult> body;
+  };
   struct AnswerShard {
     mutable Mutex mu;
+    /// Newest generation published; older stores are refused.
+    uint64_t published TRINIT_GUARDED_BY(mu) = 0;
     /// Front = most recently used. The list owns key + shared body; the
     /// index points into it.
     std::list<AnswerEntry> lru TRINIT_GUARDED_BY(mu);
@@ -190,7 +187,6 @@ class ServingCache {
   size_t ShardCapacity() const;
 
   ServingCacheOptions options_;
-  std::atomic<uint64_t> generation_{0};
   plan::PlanCache plan_cache_;
   mutable std::vector<AnswerShard> answer_shards_;
   // Registry mirrors; written only by BindMetrics (pre-share).

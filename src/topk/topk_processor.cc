@@ -18,7 +18,8 @@ TopKProcessor::TopKProcessor(const xkg::Xkg& xkg,
                              const relax::RuleSet& rules,
                              scoring::ScorerOptions scorer_options,
                              ProcessorOptions options,
-                             const plan::PlanCache* shared_plan_cache)
+                             const plan::PlanCache* shared_plan_cache,
+                             uint64_t plan_generation)
     : xkg_(xkg),
       rules_(rules),
       scorer_(xkg, scorer_options),
@@ -27,7 +28,8 @@ TopKProcessor::TopKProcessor(const xkg::Xkg& xkg,
                             ? nullptr
                             : std::make_unique<plan::PlanCache>()),
       plan_cache_(shared_plan_cache != nullptr ? shared_plan_cache
-                                               : owned_plan_cache_.get()) {
+                                               : owned_plan_cache_.get()),
+      plan_generation_(plan_generation) {
   options_.join.k = options_.k;
   if (options_.exhaustive) {
     options_.join.drain = true;
@@ -37,8 +39,11 @@ TopKProcessor::TopKProcessor(const xkg::Xkg& xkg,
     if (r.lhs.size() > 1) {
       Status s = structural_rules_.Add(r);
       TRINIT_CHECK(s.ok());
+      structural_origin_.push_back(&r);
     }
   }
+  // `rules_` holds no duplicates, so the copy kept every rule it got.
+  TRINIT_CHECK(structural_origin_.size() == structural_rules_.size());
 }
 
 std::vector<TopKProcessor::Variant> TopKProcessor::QueryVariants(
@@ -52,6 +57,13 @@ std::vector<TopKProcessor::Variant> TopKProcessor::QueryVariants(
   ropts.max_rewrites = options_.max_query_variants;
   relax::Rewriter rewriter(structural_rules_, ropts);
   for (relax::RewriteResult& rw : rewriter.EnumerateRewrites(q)) {
+    // Answers' derivations must point into `rules_`, which outlives the
+    // result (the caller's, kept alive by core::Trinit's keepalive),
+    // not into the private copy, which dies with this processor.
+    for (const relax::Rule*& rule : rw.applied) {
+      rule = structural_origin_[static_cast<size_t>(
+          rule - structural_rules_.rules().data())];
+    }
     variants.push_back(
         Variant{std::move(rw.query), rw.weight, std::move(rw.applied)});
   }
@@ -83,8 +95,8 @@ void TopKProcessor::EvaluateVariant(
   if (options_.use_cost_order ||
       options_.join.probe_mode == JoinEngine::ProbeMode::kHashPartition) {
     bool cache_hit = false;
-    jplan = plan_cache_->Get(vq, vars, xkg_, options_.use_cost_order,
-                             &cache_hit);
+    jplan = plan_cache_->Get(vq, vars, xkg_, plan_generation_,
+                             options_.use_cost_order, &cache_hit);
     // Attributed per call, not via cache-global deltas, so concurrent
     // Answer runs on one processor never report each other's counters.
     if (cache_hit) {

@@ -2,6 +2,7 @@
 #define TRINIT_TOPK_TOPK_PROCESSOR_H_
 
 #include <chrono>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -66,6 +67,15 @@ struct TopKResult {
     bool deadline_hit = false;
   } stats;
 
+  /// Opaque keepalive of the engine state that computed this result
+  /// (the `Xkg::AttachBacking` idiom): `core::Trinit` parks its pinned
+  /// `EngineState` here, so the XKG the answers' term ids refer to and
+  /// the rule set `DerivationStep::rules` point into live as long
+  /// as the result does, whatever writes land meanwhile. Null for a
+  /// bare processor's results. Never dereferenced outside
+  /// `core::Trinit`.
+  std::shared_ptr<const void> keepalive;
+
   /// Value bound to projection variable `idx` of `answers[rank]`.
   rdf::TermId ValueAt(size_t rank, size_t idx) const;
 };
@@ -119,12 +129,15 @@ class TopKProcessor {
   /// `shared_plan_cache`, when non-null, is *borrowed* — the serving
   /// path hands every request's processor the engine-level cross-request
   /// cache (see `serve::ServingCache`) and keeps it alive longer than
-  /// the processor. Null (the default) gives the processor a private
-  /// cache with its own lifetime, the pre-PR-4 behavior.
+  /// the processor — and `plan_generation` is the generation of the
+  /// engine state `xkg` and `rules` belong to, which stamps and matches
+  /// the shared cache's plans. Null (the default) gives the processor a
+  /// private cache with its own lifetime.
   TopKProcessor(const xkg::Xkg& xkg, const relax::RuleSet& rules,
                 scoring::ScorerOptions scorer_options = {},
                 ProcessorOptions options = {},
-                const plan::PlanCache* shared_plan_cache = nullptr);
+                const plan::PlanCache* shared_plan_cache = nullptr,
+                uint64_t plan_generation = 0);
 
   /// Answers `q` (which need not be resolved yet) and returns the top-k.
   Result<TopKResult> Answer(const query::Query& q) const;
@@ -149,8 +162,10 @@ class TopKProcessor {
   const relax::RuleSet& rules_;
   scoring::LmScorer scorer_;
   ProcessorOptions options_;
-  // Rules with multi-pattern LHS, for whole-query variant enumeration.
+  // Rules with multi-pattern LHS, for whole-query variant enumeration,
+  // and for each of them, the rule in `rules_` it was copied from.
   relax::RuleSet structural_rules_;
+  std::vector<const relax::Rule*> structural_origin_;
   // Compiled plans by structural signature, thread-safe for concurrent
   // Answer calls. Either borrowed from the engine's serving cache
   // (cross-request scope; `owned_plan_cache_` stays null) or private to
@@ -158,6 +173,7 @@ class TopKProcessor {
   // movable — the cache holds mutexes).
   std::unique_ptr<plan::PlanCache> owned_plan_cache_;
   const plan::PlanCache* plan_cache_;
+  uint64_t plan_generation_;
 };
 
 }  // namespace trinit::topk

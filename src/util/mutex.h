@@ -3,7 +3,6 @@
 
 #include <chrono>
 #include <mutex>
-#include <shared_mutex>
 
 #include "util/thread_annotations.h"
 
@@ -11,9 +10,9 @@ namespace trinit {
 
 /// The repo's annotated exclusive lock: a `std::timed_mutex` wearing the
 /// Clang Thread Safety Analysis capability attributes, abseil-style.
-/// Every mutex member in the library must be one of these (or
-/// `SharedMutex` below) — `tools/lint.py` bans naked `std::mutex`
-/// members precisely so the analysis can see every lock.
+/// Every mutex member in the library must be one of these —
+/// `tools/lint.py` bans naked `std::mutex` members precisely so the
+/// analysis can see every lock.
 ///
 /// The timed base adds deadline acquisition (`TryLockFor`) for
 /// serving-path callers that would rather shed a request than queue
@@ -52,47 +51,6 @@ class TRINIT_CAPABILITY("mutex") Mutex {
   std::timed_mutex mu_;
 };
 
-/// Annotated reader-writer lock over `std::shared_timed_mutex`:
-/// exclusive mode for mutators, shared mode for any number of
-/// concurrent readers, both with deadline variants. This is the
-/// engine-state lock shape (`core::Trinit`): queries share, mutators
-/// exclude the world.
-class TRINIT_CAPABILITY("shared_mutex") SharedMutex {
- public:
-  SharedMutex() = default;
-  SharedMutex(const SharedMutex&) = delete;
-  SharedMutex& operator=(const SharedMutex&) = delete;
-
-  // ------------------------------------------------------- exclusive
-  void Lock() TRINIT_ACQUIRE() { mu_.lock(); }
-  void Unlock() TRINIT_RELEASE() { mu_.unlock(); }
-  bool TryLock() TRINIT_TRY_ACQUIRE(true) { return mu_.try_lock(); }
-  // `_until(system_clock)` rather than `_for` for the same TSan
-  // interceptor reason as Mutex::TryLockFor above.
-  bool TryLockFor(std::chrono::nanoseconds timeout) TRINIT_TRY_ACQUIRE(true) {
-    if (timeout <= std::chrono::nanoseconds::zero()) return mu_.try_lock();
-    return mu_.try_lock_until(std::chrono::system_clock::now() + timeout);
-  }
-
-  // ---------------------------------------------------------- shared
-  void LockShared() TRINIT_ACQUIRE_SHARED() { mu_.lock_shared(); }
-  void UnlockShared() TRINIT_RELEASE_SHARED() { mu_.unlock_shared(); }
-  bool TryLockShared() TRINIT_TRY_ACQUIRE_SHARED(true) {
-    return mu_.try_lock_shared();
-  }
-  bool TryLockSharedFor(std::chrono::nanoseconds timeout)
-      TRINIT_TRY_ACQUIRE_SHARED(true) {
-    if (timeout <= std::chrono::nanoseconds::zero()) {
-      return mu_.try_lock_shared();
-    }
-    return mu_.try_lock_shared_until(std::chrono::system_clock::now() +
-                                     timeout);
-  }
-
- private:
-  std::shared_timed_mutex mu_;
-};
-
 /// RAII exclusive guard over `Mutex` (the annotated analogue of
 /// `std::lock_guard`). Non-copyable, non-movable: the capability is
 /// held for exactly this scope.
@@ -105,37 +63,6 @@ class TRINIT_SCOPED_CAPABILITY MutexLock {
 
  private:
   Mutex& mu_;
-};
-
-/// RAII exclusive guard over `SharedMutex` (writer side).
-class TRINIT_SCOPED_CAPABILITY WriterMutexLock {
- public:
-  explicit WriterMutexLock(SharedMutex& mu) TRINIT_ACQUIRE(mu) : mu_(mu) {
-    mu_.Lock();
-  }
-  WriterMutexLock(const WriterMutexLock&) = delete;
-  WriterMutexLock& operator=(const WriterMutexLock&) = delete;
-  ~WriterMutexLock() TRINIT_RELEASE() { mu_.Unlock(); }
-
- private:
-  SharedMutex& mu_;
-};
-
-/// RAII shared guard over `SharedMutex` (reader side).
-class TRINIT_SCOPED_CAPABILITY ReaderMutexLock {
- public:
-  explicit ReaderMutexLock(SharedMutex& mu) TRINIT_ACQUIRE_SHARED(mu)
-      : mu_(mu) {
-    mu_.LockShared();
-  }
-  ReaderMutexLock(const ReaderMutexLock&) = delete;
-  ReaderMutexLock& operator=(const ReaderMutexLock&) = delete;
-  // Generic release: the scope holds the capability shared, and clang
-  // rejects an exclusive-release annotation on a shared hold.
-  ~ReaderMutexLock() TRINIT_RELEASE_GENERIC() { mu_.UnlockShared(); }
-
- private:
-  SharedMutex& mu_;
 };
 
 }  // namespace trinit

@@ -68,8 +68,9 @@ class Xkg {
   /// Parks an opaque keepalive that must outlive this XKG's index
   /// views — the storage layer hands over the snapshot file mapping
   /// when index arrays alias it (see docs/CONCURRENCY.md, "Mapping
-  /// lifetime"). `ExtendKg` rebuilds into owned vectors and drops the
-  /// old XKG, releasing the mapping with it (copy-on-write).
+  /// lifetime"). `ExtendKg` rebuilds into owned vectors; the old XKG,
+  /// and the mapping with it, goes with the last engine state or result
+  /// that holds it (copy-on-write).
   void AttachBacking(std::shared_ptr<const void> backing) {
     backing_ = std::move(backing);
   }
@@ -85,8 +86,8 @@ class Xkg {
 
   /// Forwards first-touch score-shape sort instrumentation to the
   /// store's score index. Mutates state the `const` query paths read —
-  /// call only under the engine's exclusive context (construction,
-  /// ExtendKg rebuild).
+  /// call only before the XKG is shared (the engine binds each new XKG
+  /// before publishing the state that holds it).
   void BindScoreMetrics(obs::Histogram sort_ms, obs::Counter builds) {
     store_.BindScoreMetrics(sort_ms, builds);
   }

@@ -7,13 +7,13 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/trinit.h"
 #include "synth/kg_generator.h"
+#include "testing/answer_bytes.h"
 #include "testing/paper_world.h"
 #include "xkg/tsv_io.h"
 
@@ -22,19 +22,6 @@ namespace {
 
 std::string TempPath(const std::string& name) {
   return ::testing::TempDir() + "/" + name;
-}
-
-/// Byte-comparable rendering of a ranked answer list (projection values
-/// + nano-rounded scores), same equality the benches gate on.
-std::string AnswerBytes(const topk::TopKResult& result) {
-  std::ostringstream os;
-  for (const auto& ans : result.answers) {
-    for (size_t i = 0; i < result.projection.size(); ++i) {
-      os << ans.binding.Get(static_cast<query::VarId>(i)) << ',';
-    }
-    os << std::llround(ans.score * 1e9) << ';';
-  }
-  return os.str();
 }
 
 /// The work counters that must be identical between a snapshot-loaded
@@ -54,7 +41,8 @@ std::pair<std::string, std::string> RunOnce(const Trinit& engine,
   auto response = engine.Execute(QueryRequest::Text(text, 5));
   EXPECT_TRUE(response.ok()) << response.status() << " for " << text;
   if (!response.ok()) return {};
-  return {AnswerBytes(response->result()), WorkCounters(response->stats)};
+  return {testing::AnswerBytes(response->result()),
+          WorkCounters(response->stats)};
 }
 
 TEST(SnapshotEngineTest, SaveOpenIsByteIdenticalOnPaperWorld) {
@@ -199,12 +187,12 @@ TEST(SnapshotEngineTest, PropertySnapshotEqualsTsvBuiltAcrossWorlds) {
 TEST(SnapshotEngineTest, GenerationContinuesAcrossSaveLoad) {
   auto engine = Trinit::Open(testing::BuildPaperXkg());
   ASSERT_TRUE(engine.ok());
-  const uint64_t gen0 = engine->serving_cache().generation();
+  const uint64_t gen0 = engine->generation();
   ASSERT_TRUE(engine->ExtendKg("ElsaEinstein bornIn Ulm").ok());
   ASSERT_TRUE(
       engine->AddManualRules("r: ?x hasAdvisor ?y => ?y hasStudent ?x @ 1")
           .ok());
-  const uint64_t gen = engine->serving_cache().generation();
+  const uint64_t gen = engine->generation();
   EXPECT_GT(gen, gen0);
 
   const std::string path = TempPath("generation.trinit");
@@ -213,9 +201,9 @@ TEST(SnapshotEngineTest, GenerationContinuesAcrossSaveLoad) {
   ASSERT_TRUE(loaded.ok());
   // The loaded engine continues the saved coherent sequence instead of
   // restarting at 0 — and keeps moving on further mutations.
-  EXPECT_EQ(loaded->serving_cache().generation(), gen);
+  EXPECT_EQ(loaded->generation(), gen);
   ASSERT_TRUE(loaded->ExtendKg("MaxBorn bornIn Ulm").ok());
-  EXPECT_GT(loaded->serving_cache().generation(), gen);
+  EXPECT_GT(loaded->generation(), gen);
 }
 
 TEST(SnapshotEngineTest, MutationsKeepWorkingAfterLoad) {

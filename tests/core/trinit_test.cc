@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "baselines/exact_engine.h"
 #include "eval/runner.h"
 #include "eval/workload.h"
@@ -126,6 +129,120 @@ TEST(TrinitTest, RunOperatorAbsorbsCustomRules) {
   FixedRuleOperator op;
   ASSERT_TRUE(engine->RunOperator(op).ok());
   EXPECT_EQ(engine->rules().size(), before + 1);
+}
+
+// Everything a held result is explained, rendered and suggested with
+// as it was before the writes.
+struct HeldView {
+  std::vector<std::string> explanations;
+  std::vector<std::string> renderings;
+  std::vector<std::string> suggestions;
+};
+
+HeldView ViewOf(const Trinit& engine, const query::Query& q,
+                const topk::TopKResult& result) {
+  HeldView view;
+  for (size_t rank = 0; rank < result.answers.size(); ++rank) {
+    view.explanations.push_back(engine.Explain(result, rank).ToString());
+    view.renderings.push_back(engine.RenderAnswer(result, rank));
+  }
+  for (const suggest::Suggestion& s : engine.Suggest(q, result)) {
+    view.suggestions.push_back(s.message + " | " + s.replacement);
+  }
+  return view;
+}
+
+// A held result is explained, rendered and suggested against the state
+// that computed it: rule writes reallocate the rule vector its
+// derivations point into, and an XKG rebuild re-interns every term id
+// its bindings hold.
+TEST(TrinitTest, HeldResultSurvivesWrites) {
+  auto engine = Trinit::Open(testing::BuildPaperXkg());
+  ASSERT_TRUE(engine.ok());
+  ASSERT_TRUE(engine->AddManualRules(testing::kPaperRulesText).ok());
+  auto q = query::Parser::Parse(
+      "SELECT ?x WHERE AlbertEinstein affiliation ?x ; ?x member "
+      "IvyLeague",
+      &engine->xkg().dict());
+  ASSERT_TRUE(q.ok());
+  auto held = engine->Execute(QueryRequest::Parsed(*q, 5));
+  ASSERT_TRUE(held.ok());
+  const topk::TopKResult& result = held->result();
+  ASSERT_FALSE(result.answers.empty());
+  ASSERT_TRUE(result.answers[0].used_relaxation());
+  const HeldView before = ViewOf(*engine, *q, result);
+
+  std::string many_rules;
+  for (int i = 0; i < 300; ++i) {
+    many_rules += "held" + std::to_string(i) + ": ?x heldPred" +
+                  std::to_string(i) + " ?y => ?x affiliation ?y @ 0.5\n";
+  }
+  ASSERT_TRUE(engine->AddManualRules(many_rules).ok());
+  ASSERT_TRUE(engine
+                  ->ExtendKg("AardvarkInstitute member IvyLeague\n"
+                             "AlbertEinstein affiliation AardvarkInstitute\n")
+                  .ok());
+
+  const HeldView after = ViewOf(*engine, *q, result);
+  EXPECT_EQ(after.renderings, before.renderings);
+  EXPECT_EQ(after.explanations, before.explanations);
+  EXPECT_EQ(after.suggestions, before.suggestions);
+}
+
+// A structural (multi-pattern) rule reaches an answer through a
+// whole-query variant. Its derivation must point into the engine's rule
+// set, which the result keeps alive, not into the processor's private
+// copy, which dies when Execute returns.
+TEST(TrinitTest, StructuralRuleDerivationOutlivesTheProcessor) {
+  auto engine = Trinit::Open(testing::BuildPaperXkg());
+  ASSERT_TRUE(engine.ok());
+  ASSERT_TRUE(engine->AddManualRules(testing::kPaperRulesText).ok());
+  auto response = engine->Execute(
+      QueryRequest::Text("SELECT ?x WHERE ?x bornIn Germany ; Germany type "
+                         "country",
+                         5));
+  ASSERT_TRUE(response.ok());
+  const topk::TopKResult& result = response->result();
+  bool used_rule1 = false;
+  for (size_t rank = 0; rank < result.answers.size(); ++rank) {
+    for (const auto& use : engine->Explain(result, rank).rules) {
+      if (use.name == "rule1") {
+        used_rule1 = true;
+        EXPECT_EQ(use.weight, 1.0);
+      }
+    }
+  }
+  EXPECT_TRUE(used_rule1);
+}
+
+// A write that fails publishes nothing: an operator that adds a rule
+// and then errors leaves the rule set and the generation as they were.
+TEST(TrinitTest, FailedWritePublishesNothing) {
+  class AddThenFailOperator : public relax::RelaxationOperator {
+   public:
+    std::string name() const override { return "add-then-fail"; }
+    Status Generate(const xkg::Xkg&, relax::RuleSet* rules) override {
+      auto rule = relax::ParseManualRule(
+          "partial: ?x knows ?y => ?y knows ?x @ 0.5", 1);
+      TRINIT_RETURN_IF_ERROR(rule.status());
+      TRINIT_RETURN_IF_ERROR(rules->Add(std::move(rule).value()));
+      return Status::Internal("operator failed after adding a rule");
+    }
+  };
+  auto engine = Trinit::Open(testing::BuildPaperXkg());
+  ASSERT_TRUE(engine.ok());
+  auto generation_now = [&engine] {
+    auto response = engine->Execute(QueryRequest::Text("?x bornIn Ulm", 1));
+    EXPECT_TRUE(response.ok());
+    return response.ok() ? response->serving.generation : 0;
+  };
+  const size_t rules_before = engine->rules().size();
+  const uint64_t generation_before = generation_now();
+
+  AddThenFailOperator op;
+  EXPECT_FALSE(engine->RunOperator(op).ok());
+  EXPECT_EQ(engine->rules().size(), rules_before);
+  EXPECT_EQ(generation_now(), generation_before);
 }
 
 TEST(TrinitTest, PerRequestOverridesServeMixedWorkloadsFromOneEngine) {

@@ -3,13 +3,13 @@
 // counts ThreadSanitizer can exhaust in CI (`ci.sh --tsan` runs this
 // whole suite under -fsanitize=thread):
 //
-//   * ExecuteBatch herd racing ExtendKg/AddManualRules generation bumps
-//     (pre-PR-6 this was a genuine data race: the XKG pointee was
-//     rebuilt under live readers; the engine-state reader-writer lock
-//     now serializes mutators against the query herd),
+//   * ExecuteBatch herd racing ExtendKg publishes (every request runs
+//     on the one state it pinned; responses of one generation agree),
+//   * readers that never wait for a writer parked mid-build,
 //   * concurrent Save during serving and during mutation, and
 //     concurrent Saves to one path beside an opener of that path,
-//   * concurrent first touch of lazy score-ordered shapes,
+//   * concurrent first touch of lazy score-ordered shapes and of the
+//     lazily built suggester and autocomplete,
 //   * answer-cache store/lookup/evict races under a capacity small
 //     enough to evict constantly,
 //   * metrics scrapes racing the query herd and a KG mutator (the
@@ -19,12 +19,19 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <future>
+#include <map>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/trinit.h"
+#include "query/parser.h"
+#include "relax/manual_rules.h"
+#include "testing/answer_bytes.h"
 #include "testing/paper_world.h"
 
 namespace trinit::core {
@@ -59,22 +66,25 @@ const char* kHerdQueries[] = {
     "SELECT ?x WHERE AlbertEinstein affiliation ?x ; ?x member IvyLeague",
 };
 
-// The scenario the PR-6 lock exists for: a query herd hammering the
-// engine while a mutator thread keeps extending the KG (every extension
-// rebuilds the XKG pointee and bumps the serving-cache generation).
-// Every request must succeed against a coherent engine — strictly
-// before or strictly after each rebuild — and the final state must be
-// byte-equal to applying the same mutations serially.
+// A query herd hammering the engine while a writer keeps extending the
+// KG (every extension rebuilds the XKG and publishes a new state).
+// Every request must succeed against one coherent state — strictly
+// before or strictly after each rebuild — so responses to one query
+// that report the same generation agree byte for byte, and the final
+// state must be byte-equal to applying the same writes serially.
 TEST(ContendedStressTest, ExecuteBatchHerdVsExtendKg) {
   auto engine = BuildEngine();
   ASSERT_TRUE(engine.ok()) << engine.status();
-  const uint64_t start_generation = engine->serving_cache().generation();
+  const uint64_t start_generation = engine->generation();
 
   constexpr int kQueryThreads = 3;
   constexpr int kRounds = 6;
   constexpr int kMutations = 5;
   std::atomic<int> failures{0};
   std::atomic<bool> stop{false};
+  // (query index, generation) -> AnswerBytes, one map per herd thread.
+  using Seen = std::map<std::pair<size_t, uint64_t>, std::vector<std::string>>;
+  std::vector<Seen> seen(kQueryThreads);
 
   std::thread mutator([&] {
     for (int i = 0; i < kMutations; ++i) {
@@ -87,18 +97,22 @@ TEST(ContendedStressTest, ExecuteBatchHerdVsExtendKg) {
 
   std::vector<std::thread> herd;
   for (int t = 0; t < kQueryThreads; ++t) {
-    herd.emplace_back([&] {
+    herd.emplace_back([&, t] {
       // Keep querying at least until the mutator is done so rebuilds
-      // really land under live readers; bounded rounds after that so
-      // reader-preferring rwlocks cannot starve anyone forever.
+      // really land under live readers; bounded rounds after that.
       for (int round = 0; round < kRounds || !stop.load(); ++round) {
         std::vector<QueryRequest> batch;
         for (const char* text : kHerdQueries) {
           batch.push_back(QueryRequest::Text(text, 5));
         }
         auto results = engine->ExecuteBatch(batch, /*num_threads=*/2);
-        for (const auto& r : results) {
-          if (!r.ok()) failures.fetch_add(1);
+        for (size_t i = 0; i < results.size(); ++i) {
+          if (!results[i].ok()) {
+            failures.fetch_add(1);
+            continue;
+          }
+          seen[t][{i, results[i]->serving.generation}].push_back(
+              testing::AnswerBytes(results[i]->result()));
         }
       }
     });
@@ -107,9 +121,21 @@ TEST(ContendedStressTest, ExecuteBatchHerdVsExtendKg) {
   for (std::thread& th : herd) th.join();
   EXPECT_EQ(failures.load(), 0);
 
-  // Every mutation bumped the generation exactly once (rules added at
-  // build time already advanced it past 0).
-  EXPECT_EQ(engine->serving_cache().generation(),
+  // One generation, one state: every response to a query that reports
+  // a generation carries that state's answers.
+  std::map<std::pair<size_t, uint64_t>, std::string> first;
+  for (const Seen& thread_seen : seen) {
+    for (const auto& [key, all_bytes] : thread_seen) {
+      for (const std::string& bytes : all_bytes) {
+        EXPECT_EQ(first.emplace(key, bytes).first->second, bytes)
+            << kHerdQueries[key.first] << " at generation " << key.second;
+      }
+    }
+  }
+
+  // Every write published exactly one generation (rules added at build
+  // time already advanced it past 0).
+  EXPECT_EQ(engine->generation(),
             start_generation + kMutations);
 
   // Race-free end state: identical to the same history applied with no
@@ -134,6 +160,125 @@ TEST(ContendedStressTest, ExecuteBatchHerdVsExtendKg) {
       QueryRequest::Text("?x stressLink StressHub", kMutations + 1));
   ASSERT_TRUE(stress.ok());
   EXPECT_EQ(stress->result().answers.size(), size_t{kMutations});
+}
+
+// A writer parked mid-build holds nothing a reader needs: while an
+// operator blocks inside Generate, another thread's Execute, Explain,
+// RenderAnswer, Suggest and Save each finish within a bounded wait, on
+// the old generation. Then the write lands as generation + 1. The latch
+// opens on every exit path, so a failure cannot hang the suite.
+TEST(ContendedStressTest, ReadersDoNotWaitForAWriter) {
+  using std::chrono::seconds;
+  auto engine = BuildEngine();
+  ASSERT_TRUE(engine.ok()) << engine.status();
+  const QueryRequest request =
+      QueryRequest::Text("AlbertEinstein hasAdvisor ?x", 5);
+  auto held = engine->Execute(request);
+  ASSERT_TRUE(held.ok());
+  ASSERT_FALSE(held->result().answers.empty());
+  const topk::TopKResult& result = held->result();
+  const uint64_t old_generation = held->serving.generation;
+  const std::string rendered = engine->RenderAnswer(result, 0);
+  const std::string explained = engine->Explain(result, 0).ToString();
+  auto q = query::Parser::Parse("AlbertEinstein hasAdvisor ?x",
+                                &engine->xkg().dict());
+  ASSERT_TRUE(q.ok());
+  const std::string path = TempPath("readers_do_not_wait.trntsnap");
+
+  // Parks inside Generate until the latch opens.
+  class LatchedOperator : public relax::RelaxationOperator {
+   public:
+    explicit LatchedOperator(std::shared_future<void> latch)
+        : latch_(std::move(latch)) {}
+    std::string name() const override { return "latched"; }
+    Status Generate(const xkg::Xkg&, relax::RuleSet* rules) override {
+      entered_.set_value();
+      latch_.wait();
+      auto rule = relax::ParseManualRule(
+          "latched: ?x knows ?y => ?y knows ?x @ 0.5", 1);
+      TRINIT_RETURN_IF_ERROR(rule.status());
+      return rules->Add(std::move(rule).value());
+    }
+    std::future<void> Entered() { return entered_.get_future(); }
+
+   private:
+    std::shared_future<void> latch_;
+    std::promise<void> entered_;
+  };
+
+  std::promise<void> latch;
+  LatchedOperator op(latch.get_future().share());
+  std::future<void> entered = op.Entered();
+  // Every future is declared before the opener below, so on any exit
+  // the latch opens before their destructors wait for their threads.
+  std::future<Status> writer;
+  std::future<uint64_t> execute;
+  std::future<std::string> explain;
+  std::future<std::string> render;
+  std::future<size_t> suggest;
+  std::future<Status> save;
+  struct LatchOpener {
+    std::promise<void>* latch;
+    bool opened = false;
+    void OpenLatch() {
+      if (!opened) latch->set_value();
+      opened = true;
+    }
+    ~LatchOpener() { OpenLatch(); }
+  } opener{&latch};
+
+  writer = std::async(std::launch::async,
+                      [&] { return engine->RunOperator(op); });
+  ASSERT_EQ(entered.wait_for(seconds(10)), std::future_status::ready)
+      << "the writer never reached Generate";
+
+  execute = std::async(std::launch::async, [&] {
+    auto response = engine->Execute(request);
+    return response.ok() ? response->serving.generation : UINT64_MAX;
+  });
+  explain = std::async(std::launch::async, [&] {
+    return engine->Explain(result, 0).ToString();
+  });
+  render = std::async(std::launch::async,
+                      [&] { return engine->RenderAnswer(result, 0); });
+  suggest = std::async(std::launch::async,
+                       [&] { return engine->Suggest(*q, result).size(); });
+  save = std::async(std::launch::async, [&] { return engine->Save(path); });
+
+  const auto deadline = std::chrono::steady_clock::now() + seconds(10);
+  auto finished = [&deadline](const auto& future) {
+    return future.wait_until(deadline) == std::future_status::ready;
+  };
+  const bool execute_done = finished(execute);
+  const bool explain_done = finished(explain);
+  const bool render_done = finished(render);
+  const bool suggest_done = finished(suggest);
+  const bool save_done = finished(save);
+  EXPECT_TRUE(execute_done) << "Execute waited for the writer";
+  EXPECT_TRUE(explain_done) << "Explain waited for the writer";
+  EXPECT_TRUE(render_done) << "RenderAnswer waited for the writer";
+  EXPECT_TRUE(suggest_done) << "Suggest waited for the writer";
+  EXPECT_TRUE(save_done) << "Save waited for the writer";
+  // The write is still parked: everything read the old state.
+  EXPECT_NE(writer.wait_for(seconds(0)), std::future_status::ready);
+  if (execute_done) EXPECT_EQ(execute.get(), old_generation);
+  if (explain_done) EXPECT_EQ(explain.get(), explained);
+  if (render_done) EXPECT_EQ(render.get(), rendered);
+  if (suggest_done) (void)suggest.get();
+  if (save_done) EXPECT_TRUE(save.get().ok());
+
+  opener.OpenLatch();
+  ASSERT_TRUE(writer.get().ok());
+  auto after = engine->Execute(request);
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(after->serving.generation, old_generation + 1);
+  if (save_done) {
+    auto reopened = Trinit::Open(path);
+    ASSERT_TRUE(reopened.ok()) << reopened.status();
+    auto probe = reopened->Execute(request);
+    ASSERT_TRUE(probe.ok());
+    EXPECT_EQ(probe->serving.generation, old_generation);
+  }
 }
 
 // Writer-vs-writer: concurrent mutators must serialize, not interleave
@@ -267,6 +412,9 @@ TEST(ContendedStressTest, ConcurrentSaveDuringServingAndMutation) {
 // one query per bound-slot shape, all at once, against an engine that
 // has built nothing yet. The once-flag build must serialize per shape
 // and the answers must equal a serial run on an identical fresh engine.
+// The state's lazily built suggester and autocomplete race the same
+// way: threads make their first Suggest and autocomplete() calls at
+// once, and each must see what a serial engine sees.
 TEST(ContendedStressTest, ConcurrentLazyShapeFirstTouch) {
   const char* shape_queries[] = {
       "AlbertEinstein ?p ?o",        // S-bound
@@ -275,6 +423,24 @@ TEST(ContendedStressTest, ConcurrentLazyShapeFirstTouch) {
       "AlbertEinstein bornIn ?x",    // SP-bound
       "AlbertEinstein ?p Ulm",       // SO-bound
       "?x bornIn Ulm",               // PO-bound
+  };
+  const char* suggest_query = "AlbertEinstein 'won nobel for' ?x";
+  auto suggestions_of = [suggest_query](const Trinit& engine) {
+    std::vector<std::string> out;
+    auto q = query::Parser::Parse(suggest_query, &engine.xkg().dict());
+    auto response = engine.Execute(QueryRequest::Text(suggest_query, 5));
+    if (!q.ok() || !response.ok()) return out;
+    for (const auto& s : engine.Suggest(*q, response->result())) {
+      out.push_back(s.message);
+    }
+    return out;
+  };
+  auto completions_of = [](const Trinit& engine) {
+    std::vector<std::string> out;
+    for (const auto& c : engine.autocomplete().Complete("al", 8)) {
+      out.push_back(c.text);
+    }
+    return out;
   };
 
   auto serial = BuildEngine();
@@ -285,6 +451,11 @@ TEST(ContendedStressTest, ConcurrentLazyShapeFirstTouch) {
     ASSERT_TRUE(response.ok()) << text;
     expected.push_back(Rendered(*serial, response->result()));
   }
+  const std::vector<std::string> expected_suggestions =
+      suggestions_of(*serial);
+  const std::vector<std::string> expected_completions =
+      completions_of(*serial);
+  ASSERT_FALSE(expected_completions.empty());
 
   auto engine = BuildEngine();
   ASSERT_TRUE(engine.ok());
@@ -304,6 +475,18 @@ TEST(ContendedStressTest, ConcurrentLazyShapeFirstTouch) {
             Rendered(*engine, response->result()) != expected[qi]) {
           mismatches.fetch_add(1);
         }
+      }
+    });
+  }
+  for (int t = 0; t < 3; ++t) {
+    pool.emplace_back([&] {
+      if (suggestions_of(*engine) != expected_suggestions) {
+        mismatches.fetch_add(1);
+      }
+    });
+    pool.emplace_back([&] {
+      if (completions_of(*engine) != expected_completions) {
+        mismatches.fetch_add(1);
       }
     });
   }
@@ -371,10 +554,10 @@ TEST(ContendedStressTest, AnswerCacheEvictionHerd) {
   EXPECT_LE(counters.answer_entries, options.serving.answer_capacity);
 }
 
-// Metrics scrapes racing the serving herd and a mutator: Snapshot()
+// Metrics scrapes racing the serving herd and a writer: Snapshot()
 // walks every registered cell with relaxed reads while ExecuteBatch
-// workers increment them and ExtendKg rebinds score-shape handles under
-// the exclusive state lock; a tiny slow-query threshold keeps the
+// workers increment them and ExtendKg binds score-shape handles on each
+// new XKG before publishing it; a tiny slow-query threshold keeps the
 // slow-log ring under concurrent Record pressure too. Each counter must
 // stay monotone across scrapes, and the final scrape must reconcile
 // exactly with the work submitted.

@@ -164,8 +164,8 @@ TEST_F(PlannerTest, CacheReusesStructurallyIdenticalVariants) {
   query::Query a = Parse(xkg_, "?x bornIn Ulm");
   query::Query b = Parse(xkg_, "?x bornIn Germany");
   query::VarTable va(a), vb(b);
-  auto p1 = cache.Get(a, va, xkg_);
-  auto p2 = cache.Get(b, vb, xkg_);
+  auto p1 = cache.Get(a, va, xkg_, /*generation=*/0);
+  auto p2 = cache.Get(b, vb, xkg_, /*generation=*/0);
   EXPECT_EQ(p1.get(), p2.get());  // same plan object
   EXPECT_EQ(cache.stats().hits, 1u);
   EXPECT_EQ(cache.stats().misses, 1u);
@@ -180,7 +180,8 @@ TEST_F(PlannerTest, CacheIsThreadSafe) {
   std::vector<std::thread> threads;
   std::vector<std::shared_ptr<const JoinPlan>> got(8);
   for (int t = 0; t < 8; ++t) {
-    threads.emplace_back([&, t]() { got[t] = cache.Get(q, vars, xkg_); });
+    threads.emplace_back(
+        [&, t]() { got[t] = cache.Get(q, vars, xkg_, /*generation=*/0); });
   }
   for (std::thread& t : threads) t.join();
   for (const auto& plan : got) {

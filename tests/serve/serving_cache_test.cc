@@ -1,8 +1,8 @@
 // Unit tests for the engine-level serving cache: answer-LRU mechanics
 // (bounded capacity, eviction order, shared immutable bodies served
 // without a deep copy), key construction (every answer-changing knob
-// and the generation are in), and the plan cache's lazy generation
-// invalidation.
+// and the generation are in), what a publish drops and refuses, and
+// the plan cache's lazy invalidation by the callers' generations.
 
 #include "serve/serving_cache.h"
 
@@ -86,7 +86,7 @@ TEST(ServingCacheTest, AnswerRoundtripSharesTheStoredBody) {
   EXPECT_EQ(cache.LookupAnswer("k1"), nullptr);
   std::shared_ptr<const topk::TopKResult> stored =
       FakeResult(42, /*pulled=*/99);
-  cache.StoreAnswer("k1", stored);
+  cache.StoreAnswer("k1", 0, stored);
 
   auto hit = cache.LookupAnswer("k1");
   ASSERT_NE(hit, nullptr);
@@ -114,10 +114,10 @@ TEST(ServingCacheTest, LruEvictsOldestWithinCapacity) {
   options.num_shards = 1;  // single shard: capacity is exact
   ServingCache cache(options);
 
-  cache.StoreAnswer("a", FakeResult(1, 0));
-  cache.StoreAnswer("b", FakeResult(2, 0));
+  cache.StoreAnswer("a", 0, FakeResult(1, 0));
+  cache.StoreAnswer("b", 0, FakeResult(2, 0));
   ASSERT_NE(cache.LookupAnswer("a"), nullptr);  // refresh a; b is LRU
-  cache.StoreAnswer("c", FakeResult(3, 0));     // evicts b
+  cache.StoreAnswer("c", 0, FakeResult(3, 0));  // evicts b
 
   EXPECT_NE(cache.LookupAnswer("a"), nullptr);
   EXPECT_EQ(cache.LookupAnswer("b"), nullptr);
@@ -134,14 +134,14 @@ TEST(ServingCacheTest, CapacityBelowShardCountIsHonoredExactly) {
   options.num_shards = 8;  // clamped to 2 answer shards internally
   ServingCache cache(options);
   for (int i = 0; i < 10; ++i) {
-    cache.StoreAnswer("k" + std::to_string(i), FakeResult(i + 1, 0));
+    cache.StoreAnswer("k" + std::to_string(i), 0, FakeResult(i + 1, 0));
   }
   EXPECT_LE(cache.counters().answer_entries, 2u);
 
   ServingCacheOptions zero;
   zero.answer_capacity = 0;  // means: no answer caching at all
   ServingCache none(zero);
-  none.StoreAnswer("k", FakeResult(1, 0));
+  none.StoreAnswer("k", 0, FakeResult(1, 0));
   EXPECT_EQ(none.LookupAnswer("k"), nullptr);
   EXPECT_EQ(none.counters().answer_entries, 0u);
 }
@@ -150,13 +150,42 @@ TEST(ServingCacheTest, DisabledCacheStoresAndServesNothing) {
   ServingCacheOptions options;
   options.enabled = false;
   ServingCache cache(options);
-  cache.StoreAnswer("k", FakeResult(1, 0));
+  cache.StoreAnswer("k", 0, FakeResult(1, 0));
   EXPECT_EQ(cache.LookupAnswer("k"), nullptr);
   EXPECT_EQ(cache.plan_cache(), nullptr);
   EXPECT_EQ(cache.counters().answer_entries, 0u);
 }
 
-TEST(ServingCacheTest, BumpGenerationInvalidatesPlansLazily) {
+TEST(ServingCacheTest, PublishDropsOlderAnswersAndRefusesOlderStores) {
+  ServingCacheOptions options;
+  options.num_shards = 2;
+  ServingCache cache(options);
+  std::shared_ptr<const topk::TopKResult> old_body = FakeResult(1, 0);
+  std::weak_ptr<const topk::TopKResult> old_watch = old_body;
+  cache.StoreAnswer("old", 3, std::move(old_body));
+  cache.StoreAnswer("current", 4, FakeResult(2, 0));
+
+  cache.Publish(4);
+  // The generation-3 body is gone from the cache and, with no reader
+  // holding it, destroyed: a retired state is not kept alive.
+  EXPECT_EQ(cache.LookupAnswer("old"), nullptr);
+  EXPECT_TRUE(old_watch.expired());
+  EXPECT_NE(cache.LookupAnswer("current"), nullptr);
+
+  // A reader still on generation 3 cannot store after the publish; one
+  // on the published generation (or a newer one) can.
+  cache.StoreAnswer("late", 3, FakeResult(3, 0));
+  EXPECT_EQ(cache.LookupAnswer("late"), nullptr);
+  cache.StoreAnswer("fresh", 4, FakeResult(4, 0));
+  EXPECT_NE(cache.LookupAnswer("fresh"), nullptr);
+
+  ServingCache::Counters c = cache.counters();
+  EXPECT_EQ(c.answer_entries, 2u);
+  EXPECT_EQ(c.answer_insertions, 3u);
+  EXPECT_EQ(c.answer_evictions, 0u) << "a publish is not LRU pressure";
+}
+
+TEST(ServingCacheTest, NewerGenerationInvalidatesPlansLazily) {
   xkg::Xkg xkg = testing::BuildPaperXkg();
   ServingCache cache;
   const plan::PlanCache* plans = cache.plan_cache();
@@ -166,16 +195,14 @@ TEST(ServingCacheTest, BumpGenerationInvalidatesPlansLazily) {
   q.ResolveAgainst(xkg.dict());
   query::VarTable vars(q);
 
-  auto p1 = plans->Get(q, vars, xkg);
-  auto p1_again = plans->Get(q, vars, xkg);
+  auto p1 = plans->Get(q, vars, xkg, /*generation=*/0);
+  auto p1_again = plans->Get(q, vars, xkg, /*generation=*/0);
   EXPECT_EQ(p1.get(), p1_again.get());
   EXPECT_EQ(cache.counters().plan_hits, 1u);
 
-  cache.BumpGeneration();
-  EXPECT_EQ(cache.generation(), 1u);
-  // Lazy invalidation: the bump itself sweeps nothing; the next lookup
-  // reaps the shard's stale entries and recompiles.
-  auto p2 = plans->Get(q, vars, xkg);
+  // Lazy invalidation: the first lookup at a newer generation reaps
+  // the shard's older entries and recompiles.
+  auto p2 = plans->Get(q, vars, xkg, /*generation=*/1);
   EXPECT_NE(p1.get(), p2.get());
   ServingCache::Counters c = cache.counters();
   EXPECT_EQ(c.plan_invalidated, 1u);
@@ -183,20 +210,15 @@ TEST(ServingCacheTest, BumpGenerationInvalidatesPlansLazily) {
   // The stale entry was reaped, not just shadowed: one live entry.
   EXPECT_EQ(c.plan_entries, 1u);
   // And the recompiled entry is cached again under the new generation.
-  auto p2_again = plans->Get(q, vars, xkg);
+  auto p2_again = plans->Get(q, vars, xkg, /*generation=*/1);
   EXPECT_EQ(p2.get(), p2_again.get());
-}
 
-TEST(ServingCacheTest, InitialGenerationSeedsBothLayers) {
-  // A snapshot-restored engine continues the saved generation sequence:
-  // the answer keys and the plan cache both start at the stamp.
-  ServingCache cache(ServingCacheOptions{}, /*initial_generation=*/41);
-  EXPECT_EQ(cache.generation(), 41u);
-  ASSERT_NE(cache.plan_cache(), nullptr);
-  EXPECT_EQ(cache.plan_cache()->generation(), 41u);
-  cache.BumpGeneration();
-  EXPECT_EQ(cache.generation(), 42u);
-  EXPECT_EQ(cache.plan_cache()->generation(), 42u);
+  // A reader still on generation 0 never gets the newer plan, and its
+  // own compile is not cached over it.
+  auto p_old = plans->Get(q, vars, xkg, /*generation=*/0);
+  EXPECT_NE(p_old.get(), p2.get());
+  EXPECT_EQ(plans->Get(q, vars, xkg, /*generation=*/1).get(), p2.get());
+  EXPECT_EQ(cache.counters().plan_entries, 1u);
 }
 
 TEST(ServingCacheTest, ConcurrentStoresAndLookupsStayCoherent) {
@@ -219,7 +241,7 @@ TEST(ServingCacheTest, ConcurrentStoresAndLookupsStayCoherent) {
           ASSERT_EQ(hit->answers[0].binding.Get(0),
                     static_cast<rdf::TermId>((t + i) % 6 + 1));
         } else {
-          cache.StoreAnswer(key, FakeResult((t + i) % 6 + 1, 0));
+          cache.StoreAnswer(key, 0, FakeResult((t + i) % 6 + 1, 0));
         }
       }
     });

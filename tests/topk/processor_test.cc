@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <ostream>
 #include <set>
 
 #include "query/parser.h"
@@ -175,6 +176,13 @@ struct WorldParams {
   int queries;
   int k;
 };
+
+// Names each instance by its fields. Without it gtest prints the raw
+// bytes, trailing padding included, and the ctest names change per run.
+void PrintTo(const WorldParams& p, std::ostream* os) {
+  *os << "seed" << p.seed << "_e" << p.entities << "_p" << p.predicates
+      << "_t" << p.triples << "_q" << p.queries << "_k" << p.k;
+}
 
 class TopKEquivalenceTest : public ::testing::TestWithParam<WorldParams> {};
 

@@ -1,8 +1,7 @@
-// Tests for the annotated Mutex/SharedMutex wrappers (util/mutex.h):
-// exclusive mutual exclusion, shared-vs-exclusive admission, deadline
-// (TryLockFor) behavior, and the RAII guards. These are the wrappers
-// every lock in the library goes through (tools/lint.py bans the raw
-// std types), so their semantics are load-bearing for everything in
+// Tests for the annotated Mutex wrapper (util/mutex.h): mutual
+// exclusion, deadline (TryLockFor) behavior, and the RAII guard. Every
+// lock in the library goes through it (tools/lint.py bans the raw std
+// types), so its semantics are load-bearing for everything in
 // docs/CONCURRENCY.md.
 
 #include "util/mutex.h"
@@ -69,116 +68,6 @@ TEST(MutexTest, TryLockForTimesOutThenAcquires) {
     mu.Unlock();
   });
   acquirer.join();
-}
-
-TEST(SharedMutexTest, ManyConcurrentReaders) {
-  SharedMutex mu;
-  // All readers must be inside the lock at once: each waits until every
-  // other has arrived while still holding the shared lock.
-  constexpr int kReaders = 4;
-  std::atomic<int> inside{0};
-  std::vector<std::thread> pool;
-  for (int t = 0; t < kReaders; ++t) {
-    pool.emplace_back([&] {
-      ReaderMutexLock lock(mu);
-      inside.fetch_add(1);
-      while (inside.load() < kReaders) std::this_thread::yield();
-    });
-  }
-  for (std::thread& th : pool) th.join();
-  EXPECT_EQ(inside.load(), kReaders);
-}
-
-TEST(SharedMutexTest, WriterExcludesReadersAndViceVersa) {
-  SharedMutex mu;
-  mu.Lock();  // exclusive
-  std::thread reader([&] {
-    EXPECT_FALSE(mu.TryLockShared());
-    EXPECT_FALSE(mu.TryLockSharedFor(milliseconds(10)));
-    EXPECT_FALSE(mu.TryLockFor(milliseconds(0)));
-  });
-  reader.join();
-  mu.Unlock();
-
-  mu.LockShared();
-  std::thread writer([&] {
-    EXPECT_FALSE(mu.TryLock());
-    EXPECT_FALSE(mu.TryLockFor(milliseconds(10)));
-    // A second shared acquisition is admitted alongside the first.
-    EXPECT_TRUE(mu.TryLockShared());
-    mu.UnlockShared();
-    EXPECT_TRUE(mu.TryLockSharedFor(milliseconds(10)));
-    mu.UnlockShared();
-  });
-  writer.join();
-  mu.UnlockShared();
-
-  std::thread now_free([&] {
-    EXPECT_TRUE(mu.TryLockFor(milliseconds(100)));
-    mu.Unlock();
-  });
-  now_free.join();
-}
-
-TEST(SharedMutexTest, SharedDeadlineHonoredUnderWriter) {
-  SharedMutex mu;
-  mu.Lock();
-  std::thread reader([&] {
-    auto start = std::chrono::steady_clock::now();
-    EXPECT_FALSE(mu.TryLockSharedFor(milliseconds(30)));
-    EXPECT_GE(std::chrono::steady_clock::now() - start, milliseconds(20));
-  });
-  reader.join();
-  mu.Unlock();
-}
-
-TEST(SharedMutexTest, GuardsReleaseOnScopeExit) {
-  SharedMutex mu;
-  {
-    WriterMutexLock lock(mu);
-    std::thread t([&] { EXPECT_FALSE(mu.TryLockShared()); });
-    t.join();
-  }
-  {
-    ReaderMutexLock lock(mu);
-    std::thread t([&] { EXPECT_FALSE(mu.TryLock()); });
-    t.join();
-  }
-  // Both guards gone: exclusive acquisition succeeds immediately.
-  EXPECT_TRUE(mu.TryLock());
-  mu.Unlock();
-}
-
-TEST(SharedMutexTest, WriterSeesSumOfReaderWrites) {
-  // Readers (shared) observe, one writer (exclusive) mutates: the
-  // final value must reflect every exclusive increment exactly once.
-  SharedMutex mu;
-  int value = 0;
-  constexpr int kWrites = 500;
-  std::atomic<bool> done{false};
-  std::thread writer([&] {
-    for (int i = 0; i < kWrites; ++i) {
-      WriterMutexLock lock(mu);
-      ++value;
-    }
-    done.store(true);
-  });
-  std::vector<std::thread> readers;
-  for (int t = 0; t < 3; ++t) {
-    readers.emplace_back([&] {
-      int last = 0;
-      while (!done.load()) {
-        ReaderMutexLock lock(mu);
-        // Monotone under the lock: a reader never sees the count move
-        // backwards.
-        EXPECT_LE(last, value);
-        last = value;
-      }
-    });
-  }
-  writer.join();
-  for (std::thread& th : readers) th.join();
-  EXPECT_EQ(value, kWrites);
 }
 
 }  // namespace
